@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-shuffle vet staticcheck race check benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check chaos chaos-smoke bench bench-smoke experiments examples fuzz fuzz-delete clean
+.PHONY: all build test test-short test-shuffle vet staticcheck race check benchlint-files bench-oracles advise-smoke own-smoke contend-smoke slab-smoke docs-check chaos chaos-smoke bench bench-smoke experiments examples fuzz fuzz-delete clean
 
 all: check
 
@@ -46,8 +46,9 @@ race:
 # The default verification gate: build cleanliness, static analysis,
 # the full test suite, the race pass over the concurrent API, the
 # checked-in benchmark reports revalidated against the current schema,
-# and the documentation anchored to the tree it describes.
-check: vet staticcheck test test-shuffle race benchlint-files advise-smoke own-smoke contend-smoke slab-smoke docs-check
+# the benchmark workloads' oracles, and the documentation anchored to
+# the tree it describes.
+check: vet staticcheck test test-shuffle race benchlint-files bench-oracles advise-smoke own-smoke contend-smoke slab-smoke docs-check
 
 # Every committed rcbench report must still satisfy the benchlint
 # invariants — catches schema drift against historical BENCH_*.json.
@@ -57,6 +58,13 @@ benchlint-files:
 		echo "benchlint < $$f"; \
 		$(GO) run rcgo/cmd/benchlint < $$f || exit 1; \
 	done
+
+# The benchmark's four workloads (benchmark/, a module of its own, so
+# the root's go test ./... never reaches it) run briefly in both modes,
+# each checked by its oracle: every runtime change is held to the same
+# end-to-end correctness the benchmark relies on.
+bench-oracles:
+	$(GO) -C benchmark test ./...
 
 # Annotation-advisor end-to-end gate: replay a reduced grobner-mix
 # workload with the advisor armed and print the upgrade table. rcbench

@@ -459,15 +459,11 @@ func (h *Harness) apply(op Op) error {
 		// Prediction order mirrors the runtime: the external target's
 		// incRC decides first (owned beats deleted there too), then the
 		// holder's state check under the shard lock.
-		predicted := outOK
+		predicted := holderRule(holder.region, target == nil)
 		switch {
 		case external && target.region.state == mOwned:
 			predicted = outOwned
 		case external && target.region.state != mAlive:
-			predicted = outDeleted
-		case holder.region.state == mOwned:
-			predicted = outOwned
-		case holder.region.state != mAlive && !(holder.region.state == mZombie && target == nil):
 			predicted = outDeleted
 		}
 		return h.expect(op, err, predicted, func() {
@@ -487,16 +483,18 @@ func (h *Harness) apply(op Op) error {
 			return nil
 		}
 		holder := pick(h.objs, op.A)
-		target := pick(h.objs, op.B)
-		err := rcgo.SetSame(holder.real, &holder.real.Value.Same, target.real)
-		predicted := outOK
-		switch {
-		case target.region != holder.region:
+		// One index past the end draws a nil target: an annotated nil
+		// store obeys the same holder rule as a counted one.
+		var target *mObj
+		var treal *rcgo.Obj[node]
+		if i := op.B % (len(h.objs) + 1); i < len(h.objs) {
+			target = h.objs[i]
+			treal = target.real
+		}
+		err := rcgo.SetSame(holder.real, &holder.real.Value.Same, treal)
+		predicted := holderRule(holder.region, target == nil)
+		if target != nil && target.region != holder.region {
 			predicted = outBadRef
-		case holder.region.state == mOwned:
-			predicted = outOwned
-		case holder.region.state != mAlive:
-			predicted = outDeleted
 		}
 		// The sameregion slot is never counted: no model transition.
 		return h.expect(op, err, predicted, nil)
@@ -669,6 +667,19 @@ func (h *Harness) apply(op Op) error {
 		return nil
 	}
 	return nil
+}
+
+// holderRule predicts the holder-state rule every shared store obeys,
+// whatever its flavour: the holder's region must be alive, except that
+// a nil store from a zombie holder is legal.
+func holderRule(r *mRegion, nilStore bool) outcome {
+	switch {
+	case r.state == mOwned:
+		return outOwned
+	case r.state != mAlive && !(r.state == mZombie && nilStore):
+		return outDeleted
+	}
+	return outOK
 }
 
 // mReclaim is the model's reclaim: release the region's outbound

@@ -35,12 +35,12 @@ import (
 // site's stores (the lattice meet over its observations — a flavour
 // legal only sometimes would make the upgraded store fail ErrBadRef).
 //
-// Cost contract, mirroring the metrics gate (region_metrics.go): the
-// gate is an atomic pointer cached on every Region, so with the advisor
-// disarmed (the default) each store pays one already-hot pointer load
-// and a never-taken branch — measured within the established <5%
-// best-of-10 bound on parallel SetSame/SetRef (EXPERIMENTS.md
-// §"Annotation advisor"). Armed, each store additionally pays a
+// Cost contract, shared with the metrics gate (region_metrics.go): both
+// sit behind one instruments pointer cached on every Region, so with
+// the advisor disarmed (the default) each store pays one already-hot
+// pointer load and a never-taken branch — measured within the
+// established <5% best-of-10 bound on parallel SetSame/SetRef
+// (EXPERIMENTS.md §"Annotation advisor"). Armed, each store additionally pays a
 // runtime.Callers walk (two frames) plus one or two atomic adds; call
 // sites are resolved to file:line only lazily, at report time, via
 // runtime.CallersFrames.
@@ -75,17 +75,14 @@ const (
 	flavourCount = 4
 )
 
+// flavourFuncs names each flavour's store function, indexed by
+// StoreFlavour.
+var flavourFuncs = [flavourCount]string{"SetSame", "SetTrad", "SetParent", "SetRef"}
+
 // String names the flavour after its store function.
 func (f StoreFlavour) String() string {
-	switch f {
-	case FlavourSame:
-		return "SetSame"
-	case FlavourTrad:
-		return "SetTrad"
-	case FlavourParent:
-		return "SetParent"
-	case FlavourRef:
-		return "SetRef"
+	if f >= 0 && f < flavourCount {
+		return flavourFuncs[f]
 	}
 	return fmt.Sprintf("StoreFlavour(%d)", int32(f))
 }
@@ -97,19 +94,13 @@ func (f StoreFlavour) MarshalText() ([]byte, error) { return []byte(f.String()),
 // AdvisorReport round-trips through JSON (the /advisor endpoint's
 // clients decode into the same types).
 func (f *StoreFlavour) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "SetSame":
-		*f = FlavourSame
-	case "SetTrad":
-		*f = FlavourTrad
-	case "SetParent":
-		*f = FlavourParent
-	case "SetRef":
-		*f = FlavourRef
-	default:
-		return fmt.Errorf("unknown store flavour %q", b)
+	for i, name := range flavourFuncs {
+		if string(b) == name {
+			*f = StoreFlavour(i)
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("unknown store flavour %q", b)
 }
 
 // advisorPCDepth is the number of raw PCs captured per observation:
@@ -196,51 +187,61 @@ func (ad *arenaAdvisor) entry(k advisorKey) *advisorEntry {
 }
 
 // observe records one successful non-nil store. It must be called
-// directly from the store function's own body (SetRef/SetSame/SetTrad/
-// SetParent): the PC capture skips three logical frames — Callers,
-// observe, the store function — which runtime.Callers counts correctly
-// whether or not either of them is inlined, so the first captured PC is
-// always the store function's caller.
+// directly from the store core (store, region_store.go), which every
+// public Set* and Set*Owned calls directly: the PC capture skips four
+// logical frames — Callers, observe, store, the public store function —
+// which runtime.Callers counts correctly whether or not any of them is
+// inlined, so the first captured PC is the public function's caller.
 //
-// The caller has already validated the store, so hr is alive, tr is
-// non-nil, and the annotation (if any) held; classification reads only
-// immutable region identity and ancestry.
+// The caller has already validated the store, so tr is non-nil; the
+// classification is the store core's annotation predicate, legal.
 func (ad *arenaAdvisor) observe(hr, tr *Region, used StoreFlavour) {
 	var k advisorKey
 	k.used = used
-	runtime.Callers(3, k.pcs[:])
-
-	same := tr == hr
-	trad := tr == hr.arena.trad
-	parent := tr.isAncestorOf(hr)
+	runtime.Callers(4, k.pcs[:])
 
 	e := ad.entry(k)
 	e.count.Add(1)
-	if same {
-		e.legal[FlavourSame].Add(1)
-	}
-	if trad {
-		e.legal[FlavourTrad].Add(1)
-	}
-	if parent {
-		e.legal[FlavourParent].Add(1)
-	}
-	if used == FlavourRef && !same {
-		e.external.Add(1)
-	}
-
 	cheapest := FlavourRef
-	switch {
-	case same:
-		cheapest = FlavourSame
-	case trad:
-		cheapest = FlavourTrad
-	case parent:
-		cheapest = FlavourParent
+	for f := FlavourParent; f >= FlavourSame; f-- {
+		if legal(f, hr, tr) {
+			e.legal[f].Add(1)
+			cheapest = f
+		}
+	}
+	if used == FlavourRef && tr != hr {
+		e.external.Add(1)
 	}
 	if cheapest < used && !e.traced.Load() && e.traced.CompareAndSwap(false, true) {
 		hr.arena.traceEvent(TraceStoreUpgradeable, hr)
 	}
+}
+
+// recommend is the lattice meet over the entry's count observed
+// stores: the cheapest flavour legal for all of them, never costlier
+// than the flavour the site already uses (its own annotation proved
+// itself legal on every observed store).
+func (e *advisorEntry) recommend(count int64) StoreFlavour {
+	for f := FlavourSame; f < e.key.used; f++ {
+		if e.legal[f].Load() == count {
+			return f
+		}
+	}
+	return e.key.used
+}
+
+// entries snapshots the call-site table, shard by shard.
+func (ad *arenaAdvisor) entries() []*advisorEntry {
+	var es []*advisorEntry
+	for i := range ad.shards {
+		sh := &ad.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			es = append(es, e)
+		}
+		sh.mu.RUnlock()
+	}
+	return es
 }
 
 // WithAdvisor arms the annotation advisor from birth, equivalent to
@@ -255,20 +256,19 @@ func WithAdvisor() Option {
 
 // EnableAdvisor arms the annotation advisor mid-life. Idempotent; the
 // profile accumulates from the first call and is never reset. Like
-// EnableMetrics, the gate each store reads is the per-region cached
-// pointer, so enabling walks the registry to arm every existing region;
-// stores already in flight may go unobserved — the profile is exact
-// only for stores that began after arming (and, at quiesce, exactly
-// those).
+// EnableMetrics, the gate each store reads is the per-region
+// instruments pointer, so enabling walks the registry to arm every
+// existing region; stores already in flight may go unobserved — the
+// profile is exact only for stores that began after arming (and, at
+// quiesce, exactly those).
 func (a *Arena) EnableAdvisor() {
-	if a.advisor.CompareAndSwap(nil, &arenaAdvisor{}) {
-		ad := a.advisor.Load()
-		a.EachRegion(func(r *Region) { r.advisor.Store(ad) })
+	if a.instr.advisor.CompareAndSwap(nil, &arenaAdvisor{}) {
+		a.armRegions()
 	}
 }
 
 // AdvisorEnabled reports whether the annotation advisor is armed.
-func (a *Arena) AdvisorEnabled() bool { return a.advisor.Load() != nil }
+func (a *Arena) AdvisorEnabled() bool { return a.instr.advisor.Load() != nil }
 
 // AdvisorSite is one profiled call site of the advisor report: where
 // the store is, the flavour it used, what the profile observed, and the
@@ -327,53 +327,30 @@ type AdvisorReport struct {
 // resolution walks runtime.CallersFrames per site, so the report is a
 // debug-time operation, not a fast path.
 func (a *Arena) AdvisorReport() AdvisorReport {
-	ad := a.advisor.Load()
+	ad := a.instr.advisor.Load()
 	if ad == nil {
 		return AdvisorReport{Sites: []AdvisorSite{}}
 	}
 	rep := AdvisorReport{Enabled: true, Sites: []AdvisorSite{}}
-	for i := range ad.shards {
-		sh := &ad.shards[i]
-		sh.mu.RLock()
-		entries := make([]*advisorEntry, 0, len(sh.m))
-		for _, e := range sh.m {
-			entries = append(entries, e)
+	for _, e := range ad.entries() {
+		site := AdvisorSite{
+			Used:        e.key.used,
+			Count:       e.count.Load(),
+			LegalSame:   e.legal[FlavourSame].Load(),
+			LegalTrad:   e.legal[FlavourTrad].Load(),
+			LegalParent: e.legal[FlavourParent].Load(),
 		}
-		sh.mu.RUnlock()
-		for _, e := range entries {
-			site := AdvisorSite{
-				Used:        e.key.used,
-				Count:       e.count.Load(),
-				LegalSame:   e.legal[FlavourSame].Load(),
-				LegalTrad:   e.legal[FlavourTrad].Load(),
-				LegalParent: e.legal[FlavourParent].Load(),
-			}
-			site.Func, site.File, site.Line = resolveSite(e.key.pcs)
-			site.Recommended = FlavourRef
-			switch {
-			case site.LegalSame == site.Count:
-				site.Recommended = FlavourSame
-			case site.LegalTrad == site.Count:
-				site.Recommended = FlavourTrad
-			case site.LegalParent == site.Count:
-				site.Recommended = FlavourParent
-			}
-			if site.Recommended > site.Used {
-				// Never recommend a costlier flavour than the one in use:
-				// the site's own annotation already proved itself legal on
-				// every observed store.
-				site.Recommended = site.Used
-			}
-			site.Upgrade = site.Recommended < site.Used
-			if site.Upgrade && site.Used == FlavourRef {
-				site.WastedRCUpdates = 2 * e.external.Load()
-			}
-			rep.Sites = append(rep.Sites, site)
-			rep.Observations += site.Count
-			if site.Upgrade {
-				rep.UpgradeCandidates++
-				rep.WastedRCUpdates += site.WastedRCUpdates
-			}
+		site.Func, site.File, site.Line = resolveSite(e.key.pcs)
+		site.Recommended = e.recommend(site.Count)
+		site.Upgrade = site.Recommended < site.Used
+		if site.Upgrade && site.Used == FlavourRef {
+			site.WastedRCUpdates = 2 * e.external.Load()
+		}
+		rep.Sites = append(rep.Sites, site)
+		rep.Observations += site.Count
+		if site.Upgrade {
+			rep.UpgradeCandidates++
+			rep.WastedRCUpdates += site.WastedRCUpdates
 		}
 	}
 	sort.Slice(rep.Sites, func(i, j int) bool {
@@ -441,37 +418,19 @@ type AdvisorStats struct {
 // advisorStats summarizes the table without resolving symbols; ok is
 // false while the advisor is disarmed.
 func (a *Arena) advisorStats() (AdvisorStats, bool) {
-	ad := a.advisor.Load()
+	ad := a.instr.advisor.Load()
 	if ad == nil {
 		return AdvisorStats{}, false
 	}
 	var st AdvisorStats
-	for i := range ad.shards {
-		sh := &ad.shards[i]
-		sh.mu.RLock()
-		entries := make([]*advisorEntry, 0, len(sh.m))
-		for _, e := range sh.m {
-			entries = append(entries, e)
-		}
-		sh.mu.RUnlock()
-		for _, e := range entries {
-			st.Sites++
-			count := e.count.Load()
-			st.Observations += count
-			rec := FlavourRef
-			switch {
-			case e.legal[FlavourSame].Load() == count:
-				rec = FlavourSame
-			case e.legal[FlavourTrad].Load() == count:
-				rec = FlavourTrad
-			case e.legal[FlavourParent].Load() == count:
-				rec = FlavourParent
-			}
-			if rec < e.key.used {
-				st.UpgradeCandidates++
-				if e.key.used == FlavourRef {
-					st.WastedRCUpdates += 2 * e.external.Load()
-				}
+	for _, e := range ad.entries() {
+		st.Sites++
+		count := e.count.Load()
+		st.Observations += count
+		if e.recommend(count) < e.key.used {
+			st.UpgradeCandidates++
+			if e.key.used == FlavourRef {
+				st.WastedRCUpdates += 2 * e.external.Load()
 			}
 		}
 	}

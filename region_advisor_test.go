@@ -114,14 +114,58 @@ func TestAdvisorLattice(t *testing.T) {
 
 	// Every site resolves into this test file, never into a MustSet*
 	// wrapper frame.
-	for _, s := range rep.Sites {
-		if !strings.Contains(s.File, "region_advisor_test.go") || s.Line == 0 {
-			t.Errorf("site not attributed to the caller: %+v", s)
-		}
-		if strings.Contains(s.Func, "MustSet") {
-			t.Errorf("site attributed to a wrapper: %+v", s)
+	checkSites := func(rep AdvisorReport) {
+		t.Helper()
+		for _, s := range rep.Sites {
+			if !strings.Contains(s.File, "region_advisor_test.go") || s.Line == 0 {
+				t.Errorf("site not attributed to the caller: %+v", s)
+			}
+			if strings.Contains(s.Func, "MustSet") {
+				t.Errorf("site attributed to a wrapper: %+v", s)
+			}
 		}
 	}
+	checkSites(rep)
+
+	// So do direct calls of every shared flavour and the owned stores,
+	// one call site each.
+	b := NewArena(WithAdvisor())
+	btop := b.NewRegion()
+	bsub := btop.NewSubregion()
+	bh := Alloc[advTestNode](bsub)
+	bv := Alloc[advTestNode](bsub)
+	bup := Alloc[advTestNode](btop)
+	btrad := Alloc[advTestNode](b.Traditional())
+	for _, err := range []error{
+		SetRef(bh, &bh.Value.cross, bup),
+		SetSame(bh, &bh.Value.same, bv),
+		SetTrad(bh, &bh.Value.cross2, btrad),
+		SetParent(bh, &bh.Value.up, bup),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	own, err := b.NewRegion().TryAcquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oh := AllocOwned[advTestNode](own)
+	ov := AllocOwned[advTestNode](own)
+	if err := SetRefOwned(own, oh, &oh.Value.cross, bup); err != nil {
+		t.Fatal(err)
+	}
+	if err := SetSameOwned(own, oh, &oh.Value.same, ov); err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	brep := b.AdvisorReport()
+	if len(brep.Sites) != 6 {
+		t.Fatalf("got %d sites, want 6:\n%s", len(brep.Sites), brep)
+	}
+	checkSites(brep)
 
 	// The report round-trips through JSON, flavour names included.
 	blob, err := json.Marshal(rep)

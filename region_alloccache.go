@@ -185,19 +185,6 @@ func (a *Arena) flushAllocPending() {
 	})
 }
 
-// SetAllocCache enables (the default) or disables the allocation fast
-// path for regions created after the call: disabled, TryAlloc takes the
-// pre-cache slow path — lifecycle mutex plus direct atomic counter
-// updates per object. The knob exists for A/B benchmarking and ablation
-// (BenchmarkParallelAllocNoCache, cmd/rcbench -alloc-ab); both paths
-// maintain the same exact-at-quiesce accounting and may coexist freely
-// within one arena.
-//
-// Deprecated: pass WithAllocCache to NewArena instead, which configures
-// the knob before any region (including the traditional region) exists.
-// SetAllocCache remains for mid-life A/B flips.
-func (a *Arena) SetAllocCache(enabled bool) { a.allocSlow.Store(!enabled) }
-
 // ---------------------------------------------------------------------------
 // Pooled object chunks.
 

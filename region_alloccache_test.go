@@ -228,12 +228,11 @@ func TestAllocCacheConcurrentRefillVsDelete(t *testing.T) {
 	}
 }
 
-// SetAllocCache(false) routes new regions down the pre-cache slow path:
-// counters update directly, no delta cache is built, and the two paths
-// keep identical accounting within one arena.
+// WithAllocCache(false) routes the arena's regions down the pre-cache
+// slow path: counters update directly, no delta cache is built, and the
+// two paths keep identical accounting.
 func TestAllocCacheDisabled(t *testing.T) {
-	a := NewArena()
-	a.SetAllocCache(false)
+	a := NewArena(WithAllocCache(false))
 	slow := a.NewRegion()
 	for i := 0; i < 10; i++ {
 		if _, err := TryAlloc[cachePayload](slow); err != nil {
@@ -246,28 +245,32 @@ func TestAllocCacheDisabled(t *testing.T) {
 	if slow.acache.Load() != nil {
 		t.Fatal("slow path built a delta cache")
 	}
-	a.SetAllocCache(true)
-	fast := a.NewRegion()
-	if _, err := TryAlloc[cachePayload](fast); err != nil {
-		t.Fatal(err)
+	b := NewArena()
+	fast := b.NewRegion()
+	for i := 0; i < 10; i++ {
+		if _, err := TryAlloc[cachePayload](fast); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := fast.objs.Load(); got != 0 {
 		t.Fatalf("fast path objs = %d before a flush point, want 0", got)
 	}
-	if got := a.LiveObjects(); got != 11 {
-		t.Fatalf("LiveObjects = %d across both paths, want 11", got)
-	}
-	if err := slow.Delete(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fast.Delete(); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LiveObjects(); got != 0 {
-		t.Fatalf("LiveObjects = %d after deletes, want 0", got)
-	}
-	if rep := a.Audit(); !rep.OK {
-		t.Fatalf("audit:\n%s", rep)
+	for _, side := range []struct {
+		a *Arena
+		r *Region
+	}{{a, slow}, {b, fast}} {
+		if got := side.a.LiveObjects(); got != 10 {
+			t.Fatalf("LiveObjects = %d, want 10", got)
+		}
+		if err := side.r.Delete(); err != nil {
+			t.Fatal(err)
+		}
+		if got := side.a.LiveObjects(); got != 0 {
+			t.Fatalf("LiveObjects = %d after delete, want 0", got)
+		}
+		if rep := side.a.Audit(); !rep.OK {
+			t.Fatalf("audit:\n%s", rep)
+		}
 	}
 }
 

@@ -81,21 +81,18 @@ type Arena struct {
 	shards    []arenaShard
 	shardMask uint64
 
-	// metrics gates the cumulative op counters (region_metrics.go);
-	// advisor gates the annotation advisor's call-site profiler
-	// (region_advisor.go); tracer delivers lifecycle events
-	// (region_trace.go). All are nil until enabled and cost the fast
-	// paths one load + branch.
-	metrics atomic.Pointer[arenaMetrics]
-	advisor atomic.Pointer[arenaAdvisor]
-	tracer  atomic.Pointer[tracerBox]
+	// instr holds the cumulative op counters (region_metrics.go) and the
+	// annotation advisor (region_advisor.go), gated per region by
+	// Region.instr; tracer delivers lifecycle events (region_trace.go).
+	// All are nil until enabled and cost the fast paths one load + branch.
+	instr  instruments
+	tracer atomic.Pointer[tracerBox]
 
 	// allocSlow disables the allocation fast path (region_alloccache.go)
-	// for regions created after WithAllocCache(false) / the deprecated
-	// SetAllocCache(false) — the A/B ablation knob. Snapshotted per
-	// region at creation so the hot path never chases a pointer through
-	// the arena.
-	allocSlow atomic.Bool
+	// for the arena's regions: WithAllocCache(false), the A/B ablation
+	// knob. Fixed at construction and copied into every region, so the
+	// hot path never chases a pointer through the arena.
+	allocSlow bool
 
 	// backing is the off-heap page store behind slab-backed object
 	// chunks (region_slab.go); nil — the default — means every chunk is
@@ -118,14 +115,11 @@ type Region struct {
 	shard  *arenaShard
 	parent *Region // immutable after creation
 	id     int64
-	// metrics caches arena.metrics so the store fast paths gate their
-	// counting on a load from this (already hot, effectively read-only)
-	// cache line instead of a dependent load through the arena. Set at
-	// creation and by EnableMetrics' registry walk; nil = not counting.
-	// advisor is the same cached-gate pattern for the annotation
-	// advisor (region_advisor.go); nil = not advising.
-	metrics atomic.Pointer[arenaMetrics]
-	advisor atomic.Pointer[arenaAdvisor]
+	// instr is the one instrument gate: it points at arena.instr once
+	// metrics or the advisor is armed, so the fast paths gate both on a
+	// load from this (already hot, effectively read-only) cache line
+	// instead of a dependent load through the arena. nil = none armed.
+	instr atomic.Pointer[instruments]
 
 	// acache is the lazily-created allocation delta cache
 	// (region_alloccache.go); allocSlow (immutable after creation)
@@ -229,23 +223,18 @@ func (r *Region) ID() int64 { return r.id }
 // Registration happens after the parent pointer is set so the debug
 // inspector never observes a half-built region.
 func (a *Arena) newRegion(parent *Region) *Region {
-	r := &Region{arena: a, parent: parent, allocSlow: a.allocSlow.Load()}
+	r := &Region{arena: a, parent: parent, allocSlow: a.allocSlow}
 	idx := a.shardIndexFor(unsafe.Pointer(r))
 	sh := &a.shards[idx]
 	r.shard = sh
 	r.id = sh.nextSeq.Add(1)<<shardIDBits | int64(idx)
 	sh.liveRegions.Add(1)
 	a.register(r)
-	// Arm the per-region metrics gate after registering: either this load
-	// sees the enabled pointer, or EnableMetrics' registry walk (which
-	// CASes a.metrics first) sees the registered region. Never both miss.
-	// The advisor gate follows the identical protocol against
-	// EnableAdvisor's walk.
-	if m := a.metrics.Load(); m != nil {
-		r.metrics.Store(m)
-	}
-	if ad := a.advisor.Load(); ad != nil {
-		r.advisor.Store(ad)
+	// Arm the instrument gate after registering: either this load sees an
+	// armed instrument, or the arming registry walk (armRegions, which
+	// runs after the instrument is stored) sees the registered region.
+	if a.instr.metrics.Load() != nil || a.instr.advisor.Load() != nil {
+		r.instr.Store(&a.instr)
 	}
 	a.traceEvent(TraceRegionCreated, r)
 	return r
@@ -351,7 +340,7 @@ func TryAlloc[T any](r *Region) (*Obj[T], error) {
 }
 
 // tryAllocSlow is the pre-cache allocation path, kept as the
-// SetAllocCache(false) ablation baseline: per-object lifecycle mutex
+// WithAllocCache(false) ablation baseline: per-object lifecycle mutex
 // plus direct updates of the shared counters.
 func tryAllocSlow[T any](r *Region) (*Obj[T], error) {
 	o := &Obj[T]{region: r}

@@ -16,6 +16,27 @@ type crossNode struct {
 	Up    Ref[crossNode] // parent link
 }
 
+// crossStores is every shared store flavour over crossNode, in
+// StoreFlavour order, for tables that hold all four to one rule.
+var crossStores = []struct {
+	flavour StoreFlavour
+	set     func(*Obj[crossNode], *Ref[crossNode], *Obj[crossNode]) error
+}{
+	{FlavourSame, SetSame[crossNode, crossNode]},
+	{FlavourTrad, SetTrad[crossNode, crossNode]},
+	{FlavourParent, SetParent[crossNode, crossNode]},
+	{FlavourRef, SetRef[crossNode, crossNode]},
+}
+
+// slotFor picks n's slot for a store of flavour f: the counted link for
+// SetRef, the annotated one otherwise (a slot keeps one flavour).
+func slotFor(n *Obj[crossNode], f StoreFlavour) *Ref[crossNode] {
+	if f == FlavourRef {
+		return &n.Value.Other
+	}
+	return &n.Value.Up
+}
+
 func TestArenaBasics(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
@@ -308,9 +329,14 @@ func TestDeletedRegionGuards(t *testing.T) {
 	if err := SetRef(h, &h.Value.Other, x); !errors.Is(err, ErrRegionDeleted) {
 		t.Fatalf("counted store to deleted region: %v", err)
 	}
-	// ...and so are stores held by it.
+	// ...and so are stores held by it, nil stores of every flavour too.
 	if err := SetRef(x, &x.Value.Other, h); !errors.Is(err, ErrRegionDeleted) {
 		t.Fatalf("counted store from deleted region: %v", err)
+	}
+	for _, st := range crossStores {
+		if err := st.set(x, slotFor(x, st.flavour), nil); !errors.Is(err, ErrRegionDeleted) {
+			t.Fatalf("nil %v from deleted region: %v, want ErrRegionDeleted", st.flavour, err)
+		}
 	}
 	if live.RC() != 0 {
 		t.Fatalf("rejected store leaked a count: %d", live.RC())
@@ -370,8 +396,12 @@ func TestZombieNilStoreBreaksCycle(t *testing.T) {
 	if err := SetRef(q, &q.Value.Other, q); !errors.Is(err, ErrRegionDeleted) {
 		t.Fatalf("non-nil store from zombie holder: %v", err)
 	}
-	if err := SetRef(q, &q.Value.Other, nil); err != nil {
-		t.Fatalf("nil store from zombie holder: %v", err)
+	// A nil store of every flavour is legal; the counted one (last)
+	// drops the reference that holds the cycle.
+	for _, st := range crossStores {
+		if err := st.set(q, slotFor(q, st.flavour), nil); err != nil {
+			t.Fatalf("nil %v from zombie holder: %v", st.flavour, err)
+		}
 	}
 	if a.LiveObjects() != 0 || !r1.Stats().Reclaimed || !r2.Stats().Reclaimed {
 		t.Fatalf("cycle not reclaimed: %d live", a.LiveObjects())

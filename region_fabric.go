@@ -142,8 +142,10 @@ func WithTracer(t Tracer) Option {
 
 // WithAllocCache enables (true, the default) or disables the allocation
 // fast path (region_alloccache.go) for the arena's regions — the A/B
-// ablation knob, equivalent to the deprecated SetAllocCache called
-// before any region is created.
+// ablation knob (cmd/rcbench -alloc-ab), fixed for the arena's life.
+// Disabled, TryAlloc takes the pre-cache slow path: lifecycle mutex
+// plus direct atomic counter updates per object, with the same
+// exact-at-quiesce accounting.
 func WithAllocCache(enabled bool) Option {
 	return func(c *arenaConfig) { c.allocCache = enabled }
 }
@@ -182,8 +184,8 @@ func clampShards(n int) int {
 //
 // NewArena() with no options is the previous constructor, unchanged in
 // behaviour apart from the fabric defaulting to a GOMAXPROCS-derived
-// shard count. The deprecated knob setters (EnableMetrics,
-// SetAllocCache) remain as thin wrappers over the same configuration.
+// shard count. The deprecated EnableMetrics remains as a mid-life
+// wrapper over the same configuration.
 func NewArena(opts ...Option) *Arena {
 	cfg := arenaConfig{shards: 0, allocCache: true}
 	for _, opt := range opts {
@@ -199,16 +201,15 @@ func NewArena(opts ...Option) *Arena {
 		shards:    make([]arenaShard, n),
 		shardMask: uint64(n - 1),
 		backing:   cfg.backing,
+		allocSlow: !cfg.allocCache,
 	}
-	a.allocSlow.Store(!cfg.allocCache)
+	// Instruments armed here are stored before any region exists, so
+	// every region arms its gate in newRegion and no walk is needed.
 	if cfg.metrics {
-		// Stored before any region exists, so every region arms its gate
-		// in newRegion and no walk is needed.
-		a.metrics.Store(&arenaMetrics{})
+		a.instr.metrics.Store(&arenaMetrics{})
 	}
 	if cfg.advisor {
-		// Same birth-before-any-region argument as the metrics gate.
-		a.advisor.Store(&arenaAdvisor{})
+		a.instr.advisor.Store(&arenaAdvisor{})
 	}
 	if cfg.tracer != nil {
 		a.tracer.Store(&tracerBox{t: cfg.tracer})

@@ -107,13 +107,12 @@ func TestDeprecatedSettersStillWork(t *testing.T) {
 		t.Fatalf("Counters().Allocs = %d after EnableMetrics+Alloc, want 1", got)
 	}
 
-	// SetAllocCache(false) routes new regions down the slow path; both
-	// paths keep counters exact.
-	b := NewArena()
-	b.SetAllocCache(false)
+	// WithAllocCache(false) routes the arena's regions down the slow
+	// path; both paths keep counters exact.
+	b := NewArena(WithAllocCache(false))
 	s := b.NewRegion()
 	if !s.allocSlow {
-		t.Fatal("SetAllocCache(false) did not mark new regions slow-path")
+		t.Fatal("WithAllocCache(false) did not mark new regions slow-path")
 	}
 	Alloc[fabricNode](s)
 	if got := b.LiveObjects(); got != 1 {
@@ -131,7 +130,7 @@ func TestDeprecatedSettersStillWork(t *testing.T) {
 
 // Options configure the arena from birth: WithMetrics counts the whole
 // life, WithTracer sees the traditional region's creation, and
-// WithAllocCache(false) is SetAllocCache before any region exists.
+// WithAllocCache(false) marks every region slow-path.
 func TestArenaOptions(t *testing.T) {
 	ring := NewRingTracer(64)
 	a := NewArena(WithMetrics(), WithTracer(ring), WithAllocCache(false))

@@ -46,13 +46,12 @@ const metricShards = 64
 // 192 bytes — already a cache-line multiple, so shards start on
 // separate cache lines with no explicit padding.
 type counterShard struct {
-	allocs           atomic.Int64
-	countedStores    atomic.Int64
+	allocs atomic.Int64
+	// stores is indexed by StoreFlavour: completed SetRef stores, and
+	// every SetSame/SetTrad/SetParent check.
+	stores           [flavourCount]atomic.Int64
 	rcIncrements     atomic.Int64
 	rcDecrements     atomic.Int64
-	sameChecks       atomic.Int64
-	tradChecks       atomic.Int64
-	parentChecks     atomic.Int64
 	checkFailures    atomic.Int64
 	deletes          atomic.Int64
 	deletesBlocked   atomic.Int64
@@ -85,50 +84,59 @@ func (m *arenaMetrics) shard(p unsafe.Pointer) *counterShard {
 	return &m.shards[h%metricShards]
 }
 
+// instruments holds the op counters and the annotation advisor
+// (region_advisor.go), each nil until armed and armed for life. Every
+// region gates both on one pointer, Region.instr.
+type instruments struct {
+	metrics atomic.Pointer[arenaMetrics]
+	advisor atomic.Pointer[arenaAdvisor]
+}
+
+// counters returns the metric shard for pointer p, or nil while metrics
+// are off (in is nil until any instrument is armed).
+func (in *instruments) counters(p unsafe.Pointer) *counterShard {
+	if in != nil {
+		if m := in.metrics.Load(); m != nil {
+			return m.shard(p)
+		}
+	}
+	return nil
+}
+
+// armRegions arms every registered region's gate after an instrument
+// was stored. newRegion registers before it reads the instruments, so
+// either this walk or newRegion arms a concurrently created region.
+func (a *Arena) armRegions() {
+	a.EachRegion(func(r *Region) { r.instr.Store(&a.instr) })
+}
+
 // EnableMetrics turns on the arena's cumulative operation counters.
 // Idempotent; counters accumulate from the first call and are never
 // reset. DebugHandler and PublishExpvar enable metrics implicitly.
 //
-// The gate each operation reads is the per-region cached pointer, so
-// enabling walks the registry to arm every existing region; regions
-// created concurrently with the first EnableMetrics arm themselves
-// (newRegion registers before it reads a.metrics, so either the walk
-// sees the region or the region sees the pointer). Operations already
-// in flight when metrics come up may go uncounted — deltas are exact
-// only between two snapshots taken while metrics are on.
+// The gate each operation reads is the per-region instruments pointer,
+// so enabling walks the registry to arm every existing region (see
+// armRegions). Operations already in flight when metrics come up may go
+// uncounted — deltas are exact only between two snapshots taken while
+// metrics are on.
 //
 // Deprecated: pass WithMetrics to NewArena instead, which arms the gate
 // before any operation can run, so counters cover the arena's whole
 // life. EnableMetrics remains for turning counters on mid-life
 // (DebugHandler and PublishExpvar still use it).
 func (a *Arena) EnableMetrics() {
-	if a.metrics.CompareAndSwap(nil, &arenaMetrics{}) {
-		m := a.metrics.Load()
-		a.EachRegion(func(r *Region) { r.metrics.Store(m) })
+	if a.instr.metrics.CompareAndSwap(nil, &arenaMetrics{}) {
+		a.armRegions()
 	}
 }
 
 // MetricsEnabled reports whether the cumulative counters are active.
-func (a *Arena) MetricsEnabled() bool { return a.metrics.Load() != nil }
-
-// slotCounters returns the counter shard for a store against the given
-// slot held by an object of region r, or nil when metrics are disabled.
-// Small enough to inline into the store fast paths, and reads only the
-// region's own first cache line until metrics are on.
-func (r *Region) slotCounters(p unsafe.Pointer) *counterShard {
-	if m := r.metrics.Load(); m != nil {
-		return m.shard(p)
-	}
-	return nil
-}
+func (a *Arena) MetricsEnabled() bool { return a.instr.metrics.Load() != nil }
 
 // counters returns the counter shard for a lifecycle operation on r, or
 // nil when metrics are disabled.
 func (r *Region) counters() *counterShard {
-	if m := r.metrics.Load(); m != nil {
-		return m.shard(unsafe.Pointer(r))
-	}
-	return nil
+	return r.instr.Load().counters(unsafe.Pointer(r))
 }
 
 // ArenaCounters is a snapshot of the arena's cumulative operation
@@ -210,7 +218,7 @@ type ArenaCounters struct {
 // once the arena quiesces and a monotonic approximation while ops are in
 // flight.
 func (a *Arena) Counters() ArenaCounters {
-	m := a.metrics.Load()
+	m := a.instr.metrics.Load()
 	if m == nil {
 		return ArenaCounters{}
 	}
@@ -218,12 +226,12 @@ func (a *Arena) Counters() ArenaCounters {
 	for i := range m.shards {
 		s := &m.shards[i]
 		c.Allocs += s.allocs.Load()
-		c.CountedStores += s.countedStores.Load()
+		c.CountedStores += s.stores[FlavourRef].Load()
 		c.RCIncrements += s.rcIncrements.Load()
 		c.RCDecrements += s.rcDecrements.Load()
-		c.SameChecks += s.sameChecks.Load()
-		c.TradChecks += s.tradChecks.Load()
-		c.ParentChecks += s.parentChecks.Load()
+		c.SameChecks += s.stores[FlavourSame].Load()
+		c.TradChecks += s.stores[FlavourTrad].Load()
+		c.ParentChecks += s.stores[FlavourParent].Load()
 		c.CheckFailures += s.checkFailures.Load()
 		c.Deletes += s.deletes.Load()
 		c.DeletesBlocked += s.deletesBlocked.Load()

@@ -183,16 +183,11 @@ type ownerSlot struct {
 // only the owning goroutine touches them.
 type ownerCounters struct {
 	allocs        int64
-	countedStores int64
-	sameChecks    int64
-	tradChecks    int64
-	parentChecks  int64
+	stores        [flavourCount]int64 // indexed by StoreFlavour, like counterShard.stores
 	checkFailures int64
 }
 
-func (c *ownerCounters) any() bool {
-	return c.allocs|c.countedStores|c.sameChecks|c.tradChecks|c.parentChecks|c.checkFailures != 0
-}
+func (c *ownerCounters) any() bool { return *c != ownerCounters{} }
 
 // Owner is the transferable token of exclusive ownership over one
 // region, returned by Region.TryAcquire. It must be used by one
@@ -533,13 +528,11 @@ func (o *Owner) flushLocked(r *Region) {
 		}
 		o.slots = nil
 	}
-	if m := r.metrics.Load(); m != nil && o.m.any() {
-		c := m.shard(unsafe.Pointer(r))
+	if c := r.counters(); c != nil && o.m.any() {
 		c.allocs.Add(o.m.allocs)
-		c.countedStores.Add(o.m.countedStores)
-		c.sameChecks.Add(o.m.sameChecks)
-		c.tradChecks.Add(o.m.tradChecks)
-		c.parentChecks.Add(o.m.parentChecks)
+		for f, n := range o.m.stores {
+			c.stores[f].Add(n)
+		}
 		c.checkFailures.Add(o.m.checkFailures)
 		c.ownerFlushes.Add(1)
 	}
@@ -776,6 +769,26 @@ func TryAllocOwned[T any](o *Owner) (*Obj[T], error) {
 	return obj, nil
 }
 
+// holds is the token rule of every owned store: the token is live (not
+// released, consumed or revoked) and the holder lives in its region. A
+// pure predicate, so it inlines into the store core.
+func holds[H any](o *Owner, holder *Obj[H]) bool {
+	r := o.r
+	return r != nil && !o.revoked.Load() && holder.region == r
+}
+
+// tokenError explains a failed holds: ErrNotOwner for a released token
+// or a foreign holder, ErrOwnerRevoked for a revoked token.
+func tokenError[H any](o *Owner, holder *Obj[H], f StoreFlavour) error {
+	switch {
+	case o.r == nil:
+		return storeError(ErrNotOwner, f, o, nil, nil)
+	case o.revoked.Load():
+		return storeError(ErrOwnerRevoked, f, o, nil, nil)
+	}
+	return storeError(ErrNotOwner, f, o, holder.region, nil)
+}
+
 // SetRefOwned is the owned-path counted store: holder.slot = target
 // where holder lives in the token's region. The holder-side cost
 // collapses — no shard lock, no settled() check, registration
@@ -785,40 +798,7 @@ func TryAllocOwned[T any](o *Owner) (*Obj[T], error) {
 // region is shared and its delete races must stay linearizable. A
 // displaced external reference is released with the same shared decRC.
 func SetRefOwned[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	r := o.r
-	if r == nil {
-		return fmt.Errorf("%w: owned counted store", ErrNotOwner)
-	}
-	if o.revoked.Load() {
-		return fmt.Errorf("%w: owned counted store", ErrOwnerRevoked)
-	}
-	if holder.region != r {
-		return fmt.Errorf("%w: holder lives in region %d, token owns region %d",
-			ErrNotOwner, holder.region.id, r.id)
-	}
-	if target != nil && target.region != r {
-		if err := target.region.incRC(); err != nil {
-			return fmt.Errorf("counted store: %w", err)
-		}
-	}
-	old := slot.target.Swap(target)
-	if target != nil && !slot.registered {
-		// Plain read and write of registered: the Acquire barrier gives
-		// the owner happens-before over every pre-ownership registration,
-		// and no shared store can race while the region is owned.
-		slot.registered = true
-		o.slots = append(o.slots, ownerSlot{rel: slot, p: unsafe.Pointer(slot)})
-	}
-	o.m.countedStores++
-	if target != nil {
-		if ad := r.advisor.Load(); ad != nil {
-			ad.observe(r, target.region, FlavourRef)
-		}
-	}
-	if old != nil && old.region != r {
-		old.region.decRC()
-	}
-	return nil
+	return store(o, holder, slot, target, FlavourRef)
 }
 
 // SetSameOwned is the owned-path sameregion store: target must be nil
@@ -826,59 +806,14 @@ func SetRefOwned[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *O
 // annotation check against immutable identity; with the region owned
 // there is no state word to consult at all.
 func SetSameOwned[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	r := o.r
-	if r == nil {
-		return fmt.Errorf("%w: owned sameregion store", ErrNotOwner)
-	}
-	if o.revoked.Load() {
-		return fmt.Errorf("%w: owned sameregion store", ErrOwnerRevoked)
-	}
-	if holder.region != r {
-		return fmt.Errorf("%w: holder lives in region %d, token owns region %d",
-			ErrNotOwner, holder.region.id, r.id)
-	}
-	o.m.sameChecks++
-	if target != nil {
-		if target.region != r {
-			o.m.checkFailures++
-			return fmt.Errorf("%w: sameregion store of %v into %v",
-				ErrBadRef, target.region.id, r.id)
-		}
-		if ad := r.advisor.Load(); ad != nil {
-			ad.observe(r, target.region, FlavourSame)
-		}
-	}
-	slot.target.Store(target)
-	return nil
+	return store(o, holder, slot, target, FlavourSame)
 }
 
 // SetTradOwned is the owned-path traditional store: target must be nil
 // or in the arena's traditional region (immortal, so no target state
 // check either).
 func SetTradOwned[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	r := o.r
-	if r == nil {
-		return fmt.Errorf("%w: owned traditional store", ErrNotOwner)
-	}
-	if o.revoked.Load() {
-		return fmt.Errorf("%w: owned traditional store", ErrOwnerRevoked)
-	}
-	if holder.region != r {
-		return fmt.Errorf("%w: holder lives in region %d, token owns region %d",
-			ErrNotOwner, holder.region.id, r.id)
-	}
-	o.m.tradChecks++
-	if target != nil {
-		if target.region != r.arena.trad {
-			o.m.checkFailures++
-			return fmt.Errorf("%w: traditional store of %v", ErrBadRef, target.region.id)
-		}
-		if ad := r.advisor.Load(); ad != nil {
-			ad.observe(r, target.region, FlavourTrad)
-		}
-	}
-	slot.target.Store(target)
-	return nil
+	return store(o, holder, slot, target, FlavourTrad)
 }
 
 // SetParentOwned is the owned-path parentptr store: target must be nil
@@ -887,34 +822,7 @@ func SetTradOwned[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *
 // or another token) is a legal target — a parentptr creates no
 // reference and mutates nothing in the target region.
 func SetParentOwned[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	r := o.r
-	if r == nil {
-		return fmt.Errorf("%w: owned parentptr store", ErrNotOwner)
-	}
-	if o.revoked.Load() {
-		return fmt.Errorf("%w: owned parentptr store", ErrOwnerRevoked)
-	}
-	if holder.region != r {
-		return fmt.Errorf("%w: holder lives in region %d, token owns region %d",
-			ErrNotOwner, holder.region.id, r.id)
-	}
-	o.m.parentChecks++
-	if target != nil {
-		if !target.region.isAncestorOf(r) {
-			o.m.checkFailures++
-			return fmt.Errorf("%w: parentptr store of %v into %v",
-				ErrBadRef, target.region.id, r.id)
-		}
-		if ts := target.region.settled(); ts != stateAlive && ts != stateOwned {
-			return fmt.Errorf("%w: parentptr store targets deleted region %d",
-				ErrRegionDeleted, target.region.id)
-		}
-		if ad := r.advisor.Load(); ad != nil {
-			ad.observe(r, target.region, FlavourParent)
-		}
-	}
-	slot.target.Store(target)
-	return nil
+	return store(o, holder, slot, target, FlavourParent)
 }
 
 // compile-time check that Region carries the owner pointer the audit

@@ -197,6 +197,11 @@ func TestOwnerErrorPaths(t *testing.T) {
 	if err := SetSame(obj, &obj.Value.Other, obj); !errors.Is(err, ErrRegionOwned) {
 		t.Fatalf("shared sameregion store with owned holder: %v, want ErrRegionOwned", err)
 	}
+	for _, st := range crossStores {
+		if err := st.set(obj, slotFor(obj, st.flavour), nil); !errors.Is(err, ErrRegionOwned) {
+			t.Fatalf("shared nil %v with owned holder: %v, want ErrRegionOwned", st.flavour, err)
+		}
+	}
 	// A new inbound counted reference from outside: the target region is
 	// owned, so incRC withdraws and rejects.
 	if err := SetRef(outside, &outside.Value.Other, obj); !errors.Is(err, ErrRegionOwned) {

@@ -7,26 +7,29 @@ import (
 	"unsafe"
 )
 
-// The four store flavours of the paper's pointer-assignment classes, in
-// one API shape: every Set* returns an error (ErrBadRef for an
-// annotation violation, ErrRegionDeleted for a store into a deleted
-// holder or target region), and every flavour has a MustSet* variant
-// that panics instead.
+// The store core. The paper's four pointer kinds form one lattice
+// (Figure 3): a counted store does the reference-count update of
+// Figure 3(a), and each annotated kind does one Figure 3(b) check.
 //
 //	SetRef     unannotated pointer: full reference-count update
 //	SetSame    sameregion pointer: checked, never counted
 //	SetTrad    traditional pointer: checked, never counted
 //	SetParent  parentptr pointer: checked, never counted
 //
-// The annotated stores write no shared memory: they read immutable
-// region identity/ancestry and the region state word, then write the
-// holder's own slot. SetRef updates the target region's atomic count and
-// serializes on the holder's registry shard for the slot. (With arena
-// metrics enabled — see region_metrics.go — every flavour additionally
-// bumps one sharded counter, and with the annotation advisor armed —
-// region_advisor.go — every successful non-nil store is additionally
-// classified against the flavour lattice and recorded per call site;
-// disabled, each instrument is a single pointer load and branch.)
+// Each flavour has an owned twin (Set*Owned, region_owner.go) and a
+// MustSet* variant that panics instead of returning the error. All
+// eight Set* and Set*Owned functions are thin wrappers over one core,
+// store, built from one annotation predicate (legal), one holder-state
+// rule for shared stores (checkHolder), one token rule for owned ones
+// (holds) and one rejection formatter (storeError).
+//
+// Annotated stores write no shared memory: they read immutable region
+// identity/ancestry and the region state word, then write the holder's
+// own slot. SetRef updates the target region's atomic count and
+// serializes on the holder's registry shard for the slot. Arena metrics
+// (region_metrics.go) and the annotation advisor (region_advisor.go)
+// sit behind the region's one instrument gate: disarmed, both cost a
+// store one pointer load and branch.
 
 // slotShards is the number of registry shards per region. Counted slots
 // hash to a shard by address, so concurrent SetRefs into one region
@@ -90,70 +93,10 @@ func (r *Ref[T]) Get() *Obj[T] { return r.target.Load() }
 // creates or destroys an external reference. It returns ErrRegionDeleted
 // if the holder's or the target's region has been deleted or
 // deferred-deleted — a counted store can never resurrect a zombie region
-// or postpone its reclaim. Exception: a nil store from a
-// deferred-deleted holder is allowed, so cross-region cycles among
-// zombie regions can still be broken by hand.
+// or postpone its reclaim — and ErrRegionOwned if either is exclusively
+// owned.
 func SetRef[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	hr := holder.region
-	// Count the new external reference before publishing it, so the
-	// holder region's delete-time unscan — which may run the instant the
-	// slot is visible in the registry — never releases an uncounted
-	// reference.
-	external := target != nil && target.region != hr
-	if external {
-		// Propagate incRC's error as-is: it carries ErrRegionDeleted for
-		// a dead/zombie target, or ErrInjected under fault injection, and
-		// callers distinguish the two with errors.Is.
-		if err := target.region.incRC(); err != nil {
-			return fmt.Errorf("counted store: %w", err)
-		}
-	}
-	// Failpoint in the count-vs-registry window: the reference is
-	// counted but the slot not yet registered; an injected error unwinds
-	// the store exactly like a holder-state rejection below.
-	if err := fpSlotInsert.Eval(); err != nil {
-		if external {
-			target.region.decRC()
-		}
-		return fmt.Errorf("%w: counted store into region %d", err, hr.id)
-	}
-	sh := hr.shardOf(unsafe.Pointer(slot))
-	sh.mu.Lock()
-	hs := hr.settled()
-	if hs != stateAlive && !(hs == stateZombie && target == nil) {
-		sh.mu.Unlock()
-		if external {
-			target.region.decRC()
-		}
-		if hs == stateOwned {
-			// The state re-read under the shard lock is what fences
-			// shared stores against Acquire's barrier sweep: any store
-			// that gets here after the sweep passed its shard observes
-			// stateOwned and fails; the owner uses SetRefOwned.
-			return fmt.Errorf("%w: counted store into region %d", ErrRegionOwned, hr.id)
-		}
-		return fmt.Errorf("%w: counted store into deleted region %d", ErrRegionDeleted, hr.id)
-	}
-	old := slot.target.Swap(target)
-	if target != nil && !slot.registered {
-		slot.registered = true
-		sh.slots = append(sh.slots, slot)
-	}
-	sh.mu.Unlock()
-	if c := hr.slotCounters(unsafe.Pointer(slot)); c != nil {
-		c.countedStores.Add(1)
-	}
-	if target != nil {
-		if ad := hr.advisor.Load(); ad != nil {
-			ad.observe(hr, target.region, FlavourRef)
-		}
-	}
-	// Release the displaced reference outside the shard lock: the drop
-	// can reclaim a deferred-deleted region, which takes its own locks.
-	if old != nil && old.region != hr {
-		old.region.decRC()
-	}
-	return nil
+	return store(nil, holder, slot, target, FlavourRef)
 }
 
 // MustSetRef is SetRef panicking on error.
@@ -164,36 +107,10 @@ func MustSetRef[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) {
 }
 
 // SetSame performs holder.slot = target for a sameregion slot: the target
-// must be nil or in the holder's (live) region. Never touches a count or
-// any shared cache line.
+// must be nil or in the holder's region. Never touches a count or any
+// shared cache line.
 func SetSame[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	hr := holder.region
-	c := hr.slotCounters(unsafe.Pointer(slot))
-	if c != nil {
-		c.sameChecks.Add(1)
-	}
-	if target != nil {
-		if target.region != hr {
-			if c != nil {
-				c.checkFailures.Add(1)
-			}
-			return fmt.Errorf("%w: sameregion store of %v into %v",
-				ErrBadRef, target.region.id, hr.id)
-		}
-		if hs := hr.settled(); hs != stateAlive {
-			if hs == stateOwned {
-				return fmt.Errorf("%w: sameregion store into region %d",
-					ErrRegionOwned, hr.id)
-			}
-			return fmt.Errorf("%w: sameregion store into deleted region %d",
-				ErrRegionDeleted, hr.id)
-		}
-		if ad := hr.advisor.Load(); ad != nil {
-			ad.observe(hr, target.region, FlavourSame)
-		}
-	}
-	slot.target.Store(target)
-	return nil
+	return store(nil, holder, slot, target, FlavourSame)
 }
 
 // MustSetSame is SetSame panicking on error.
@@ -207,32 +124,7 @@ func MustSetSame[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) {
 // target must be nil or in the arena's traditional region. Never touches
 // a count (the traditional region is immortal) or any shared cache line.
 func SetTrad[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	hr := holder.region
-	c := hr.slotCounters(unsafe.Pointer(slot))
-	if c != nil {
-		c.tradChecks.Add(1)
-	}
-	if target != nil {
-		if target.region != hr.arena.trad {
-			if c != nil {
-				c.checkFailures.Add(1)
-			}
-			return fmt.Errorf("%w: traditional store of %v", ErrBadRef, target.region.id)
-		}
-		if hs := hr.settled(); hs != stateAlive {
-			if hs == stateOwned {
-				return fmt.Errorf("%w: traditional store into region %d",
-					ErrRegionOwned, hr.id)
-			}
-			return fmt.Errorf("%w: traditional store into deleted region %d",
-				ErrRegionDeleted, hr.id)
-		}
-		if ad := hr.advisor.Load(); ad != nil {
-			ad.observe(hr, target.region, FlavourTrad)
-		}
-	}
-	slot.target.Store(target)
-	return nil
+	return store(nil, holder, slot, target, FlavourTrad)
 }
 
 // MustSetTrad is SetTrad panicking on error.
@@ -244,42 +136,10 @@ func MustSetTrad[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) {
 
 // SetParent performs holder.slot = target for a parentptr slot: the
 // target must be nil or in an ancestor (or the same) region of the
-// holder's. Never touches a count (an ancestor always outlives the
-// holder) or any shared cache line.
+// holder's, and that region must not be deleted. Never touches a count
+// (an ancestor always outlives the holder) or any shared cache line.
 func SetParent[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) error {
-	hr := holder.region
-	c := hr.slotCounters(unsafe.Pointer(slot))
-	if c != nil {
-		c.parentChecks.Add(1)
-	}
-	if target != nil {
-		if !target.region.isAncestorOf(hr) {
-			if c != nil {
-				c.checkFailures.Add(1)
-			}
-			return fmt.Errorf("%w: parentptr store of %v into %v",
-				ErrBadRef, target.region.id, hr.id)
-		}
-		if hs := hr.settled(); hs != stateAlive {
-			if hs == stateOwned {
-				return fmt.Errorf("%w: parentptr store into region %d",
-					ErrRegionOwned, hr.id)
-			}
-			return fmt.Errorf("%w: parentptr store into deleted region %d",
-				ErrRegionDeleted, hr.id)
-		}
-		// An ancestor that is merely owned remains a legal target: a
-		// parentptr creates no reference and mutates nothing over there.
-		if ts := target.region.settled(); ts != stateAlive && ts != stateOwned {
-			return fmt.Errorf("%w: parentptr store targets deleted region %d",
-				ErrRegionDeleted, target.region.id)
-		}
-		if ad := hr.advisor.Load(); ad != nil {
-			ad.observe(hr, target.region, FlavourParent)
-		}
-	}
-	slot.target.Store(target)
-	return nil
+	return store(nil, holder, slot, target, FlavourParent)
 }
 
 // MustSetParent is SetParent panicking on error.
@@ -287,6 +147,187 @@ func MustSetParent[T any, H any](holder *Obj[H], slot *Ref[T], target *Obj[T]) {
 	if err := SetParent(holder, slot, target); err != nil {
 		panic(err)
 	}
+}
+
+// store performs holder.slot = target as flavour f, through token o (nil
+// for a shared store). The public Set* functions must call it directly:
+// the advisor's call-site capture (observe) counts their frame.
+func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T], f StoreFlavour) error {
+	if o != nil && !holds(o, holder) {
+		return tokenError(o, holder, f)
+	}
+	hr := holder.region
+	var tr *Region
+	if target != nil {
+		tr = target.region
+	}
+	in := hr.instr.Load()
+	c := in.counters(unsafe.Pointer(slot)) // used by shared stores only
+
+	var old *Obj[T]
+	if f != FlavourRef {
+		// Figure 3(b): every annotated store runs, and counts, one check.
+		tally(o, c, f)
+		if tr != nil && !legal(f, hr, tr) {
+			if o != nil {
+				o.m.checkFailures++
+			} else if c != nil {
+				c.checkFailures.Add(1)
+			}
+			return storeError(ErrBadRef, f, o, hr, tr)
+		}
+		if o == nil {
+			if err := hr.checkHolder(f, tr == nil); err != nil {
+				return err
+			}
+		}
+		// An ancestor that is merely owned remains a legal parentptr
+		// target: the link creates no reference and mutates nothing there.
+		if f == FlavourParent && tr != nil {
+			if ts := tr.settled(); ts != stateAlive && ts != stateOwned {
+				return storeError(ErrRegionDeleted, f, o, hr, tr)
+			}
+		}
+	} else {
+		// Figure 3(a). Count the new external reference before publishing
+		// it, so the holder region's delete-time unscan — which may run
+		// the instant the slot is visible in the registry — never releases
+		// an uncounted reference. incRC's error carries ErrRegionDeleted or
+		// ErrRegionOwned for the target, or ErrInjected under fault
+		// injection; callers tell them apart with errors.Is.
+		external := tr != nil && tr != hr
+		if external {
+			if err := tr.incRC(); err != nil {
+				return storeError(err, f, o, hr, tr)
+			}
+		}
+		if o != nil {
+			old = slot.target.Swap(target)
+			if target != nil && !slot.registered {
+				// Plain read and write of registered: the Acquire barrier
+				// gives the owner happens-before over every pre-ownership
+				// registration, and no shared store can race while owned.
+				slot.registered = true
+				o.slots = append(o.slots, ownerSlot{rel: slot, p: unsafe.Pointer(slot)})
+			}
+		} else {
+			// The failpoint sits in the count-vs-registry window: the
+			// reference is counted but the slot not yet registered; an
+			// injected error unwinds the store exactly like a holder-state
+			// rejection.
+			sh := hr.shardOf(unsafe.Pointer(slot))
+			err := fpSlotInsert.Eval()
+			if err != nil {
+				err = storeError(err, f, nil, hr, nil)
+			} else {
+				// The holder state is read under the shard lock: that is
+				// what fences shared stores against Acquire's barrier sweep
+				// — a store that gets here after the sweep passed its shard
+				// observes stateOwned and fails.
+				sh.mu.Lock()
+				if err = hr.checkHolder(f, target == nil); err != nil {
+					sh.mu.Unlock()
+				}
+			}
+			if err != nil {
+				if external {
+					tr.decRC()
+				}
+				return err
+			}
+			old = slot.target.Swap(target)
+			if target != nil && !slot.registered {
+				slot.registered = true
+				sh.slots = append(sh.slots, slot)
+			}
+			sh.mu.Unlock()
+		}
+		tally(o, c, f)
+	}
+	if tr != nil && in != nil {
+		if ad := in.advisor.Load(); ad != nil {
+			ad.observe(hr, tr, f)
+		}
+	}
+	if f != FlavourRef {
+		slot.target.Store(target)
+	} else if old != nil && old.region != hr {
+		// Release the displaced reference outside the shard lock: the drop
+		// can reclaim a deferred-deleted region, which takes its own locks.
+		old.region.decRC()
+	}
+	return nil
+}
+
+// tally counts one store of flavour f: on the token for an owned store
+// (merged at Release), on the slot's metric shard c for a shared one.
+func tally(o *Owner, c *counterShard, f StoreFlavour) {
+	if o != nil {
+		o.m.stores[f]++
+	} else if c != nil {
+		c.stores[f].Add(1)
+	}
+}
+
+// legal is the annotation predicate of the paper's Figure 3(b): whether
+// a slot of flavour f held in region hr may point into region tr.
+// FlavourRef admits every target.
+func legal(f StoreFlavour, hr, tr *Region) bool {
+	switch f {
+	case FlavourSame:
+		return tr == hr
+	case FlavourTrad:
+		return tr == hr.arena.trad
+	case FlavourParent:
+		return tr.isAncestorOf(hr)
+	}
+	return true
+}
+
+// checkHolder is the holder-state rule of every shared store: the
+// holder's region must be alive (ErrRegionOwned while owned,
+// ErrRegionDeleted once deleted or deferred), except that a nil store
+// from a zombie holder is legal, so cycles among deferred-deleted
+// regions can still be broken by hand (DESIGN.md §8).
+func (hr *Region) checkHolder(f StoreFlavour, nilStore bool) error {
+	if hr.state.Load() == stateAlive {
+		return nil
+	}
+	return hr.holderError(f, nilStore)
+}
+
+// holderError is checkHolder's slow path, kept out of line so the
+// alive check inlines into the store core.
+func (hr *Region) holderError(f StoreFlavour, nilStore bool) error {
+	switch hr.settled() {
+	case stateAlive:
+		return nil
+	case stateOwned:
+		return storeError(ErrRegionOwned, f, nil, hr, nil)
+	case stateZombie:
+		if nilStore {
+			return nil
+		}
+	}
+	return storeError(ErrRegionDeleted, f, nil, hr, nil)
+}
+
+// storeError is the store core's one rejection formatter: "<cause>:
+// <public function> [of region T ][into region H]", naming the target's
+// region when the rejection concerns it. It wraps cause, so callers
+// match the sentinel (or an incRC or failpoint error) with errors.Is.
+func storeError(cause error, f StoreFlavour, o *Owner, hr, tr *Region) error {
+	fn := f.String()
+	if o != nil {
+		fn += "Owned"
+	}
+	switch {
+	case hr == nil:
+		return fmt.Errorf("%w: %s", cause, fn)
+	case tr != nil:
+		return fmt.Errorf("%w: %s of region %d into region %d", cause, fn, tr.id, hr.id)
+	}
+	return fmt.Errorf("%w: %s into region %d", cause, fn, hr.id)
 }
 
 // isAncestorOf walks the (immutable) parent chain.
