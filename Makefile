@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-shuffle vet staticcheck race check benchlint-files bench-oracles advise-smoke own-smoke contend-smoke slab-smoke docs-check chaos chaos-smoke bench bench-smoke experiments examples fuzz fuzz-delete clean
+.PHONY: all build test test-short test-shuffle vet staticcheck race check benchlint-files bench-oracles advise-smoke ab-smoke docs-check chaos chaos-smoke bench experiments examples fuzz fuzz-delete clean
 
 all: check
 
@@ -48,7 +48,7 @@ race:
 # checked-in benchmark reports revalidated against the current schema,
 # the benchmark workloads' oracles, and the documentation anchored to
 # the tree it describes.
-check: vet staticcheck test test-shuffle race benchlint-files bench-oracles advise-smoke own-smoke contend-smoke slab-smoke docs-check
+check: vet staticcheck test test-shuffle race benchlint-files bench-oracles advise-smoke ab-smoke docs-check
 
 # Every committed rcbench report must still satisfy the benchlint
 # invariants — catches schema drift against historical BENCH_*.json.
@@ -74,35 +74,21 @@ bench-oracles:
 advise-smoke:
 	$(GO) run rcgo/cmd/rcbench -advise -advise-allocs 2000
 
-# Ownership fast-path end-to-end gate: a 1-round -own-ab report piped
-# through benchlint (exercises Acquire/Release, the owned alloc and
-# store paths, and the "ownership" schema section), then the pipeline
-# hand-off example. One round proves the machinery, not the speedup —
-# BENCH_pr8_ownership.json records the real best-of-10 run.
-own-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss -own-ab 1 -own-cpu 2 | $(GO) run rcgo/cmd/benchlint
+# A/B harness end-to-end gate: every A/B scenario for one round
+# (internal/exp/ab.go: the alloc cache, the fabric, the advisor gate,
+# ownership, blocking acquisition and off-heap slabs, including the
+# live-GC cell) piped through benchlint; the pipeline hand-off example;
+# the contention and slab chaos phases alone under the race detector
+# with the own.handoff and slab.map failpoints armed (the slab phase
+# fails on any leaked page); and a 100-iteration spin of the parallel
+# Alloc benchmark pairs. One round proves the machinery, not a speedup:
+# BENCH_pr13_ab.json records the real 10-round run.
+ab-smoke:
+	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -ab all | $(GO) run rcgo/cmd/benchlint
 	$(GO) run rcgo/examples/pipeline
-
-# Blocking-acquisition end-to-end gate: a 1-round -contend-ab report
-# (exercises AcquireContext, the FIFO hand-off and the "contention"
-# schema section) piped through benchlint, then the contention chaos
-# phase alone under the race detector with the own.handoff failpoint
-# armed. One round proves the machinery — BENCH_pr9_contention.json
-# records the real best-of-10 run.
-contend-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss -contend-ab 1 -contend-cpu 2 | $(GO) run rcgo/cmd/benchlint
 	$(GO) run -race rcgo/cmd/rcchaos -phase contention -seed 1 -workers 4 -conc-ops 300 -q
-
-# Off-heap slab end-to-end gate: a 1-round -slab-ab report (exercises
-# WithOffHeapSlabs, the pointer-free admission gate, reclaim-time page
-# return, the GC-pressure cell and the "slab" schema section) piped
-# through benchlint, then the slab chaos phase alone under the race
-# detector with the slab.map failpoint armed — the phase fails on any
-# leaked page. One round proves the machinery — BENCH_pr10_slab.json
-# records the real best-of run.
-slab-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss -slab-ab 1 -slab-cpu 2 | $(GO) run rcgo/cmd/benchlint
 	$(GO) run -race rcgo/cmd/rcchaos -phase slab -seed 1 -workers 4 -conc-ops 300 -q
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc' -benchtime 100x -cpu 2 .
 
 # Documentation anchor gate: every path named in ARCHITECTURE.md's
 # tables must exist on disk, and every "DESIGN.md §N" cross-reference
@@ -133,17 +119,6 @@ chaos-smoke:
 # primitive microbenchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Tiny end-to-end sanity pass over the machine-readable benchmark path:
-# a reduced-scale rcbench -json run — including 1-rep allocation
-# fast-path and arena-fabric A/Bs so the parallel and fabric sections
-# of the schema are exercised — piped through the benchlint validator,
-# then a 100-iteration spin of the parallel Alloc benchmark pairs.
-# Catches schema drift, broken workloads and a broken fast path in
-# seconds.
-bench-smoke:
-	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -alloc-ab 1 -ab-cpu 2 -fabric-ab 1 -fabric-cpu 2 -fabric-live 32 | $(GO) run rcgo/cmd/benchlint
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc' -benchtime 100x -cpu 2 .
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -329,7 +329,7 @@ type parNode struct {
 // the previous one with an annotated sameregion store, recycling the
 // region every 8192 allocations. cache selects the allocation fast path
 // (region_alloccache.go) or the pre-cache slow path — compare the pairs
-// at -cpu 8 for the ablation (cmd/rcbench -alloc-ab runs the same A/B
+// at -cpu 8 for the ablation (cmd/rcbench -ab alloc runs the same A/B
 // interleaved).
 func benchParallelAlloc(b *testing.B, cache, link bool) {
 	a := NewArena(WithAllocCache(cache))

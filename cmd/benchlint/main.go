@@ -2,15 +2,11 @@
 //
 //	go run rcgo/cmd/rcbench -json | go run rcgo/cmd/benchlint
 //
-// It checks the invariants every rcgo.bench/1 document must satisfy —
-// the schema tag, at least one workload, positive times, non-negative
-// counters, a non-zero store total, and (when the optional parallel,
-// fabric, advisor, ownership, contention or slab sections are present)
-// positive A/B timings per cell, plus a sane shard/backdrop geometry
-// on fabric cells and non-negative GC-pressure brackets on slab cells
-// — and exits
-// non-zero with a message naming the first violation. `make
-// bench-smoke` runs a tiny report through it as a sanity gate.
+// It decodes the report, rejecting unknown fields, and applies
+// (*exp.BenchReport).Validate, which holds every rcgo.bench/2 invariant
+// (internal/exp/json.go); it exits non-zero with a message naming the
+// first violation. `make ab-smoke` runs a tiny report through it and
+// `make benchlint-files` every committed BENCH_*.json.
 package main
 
 import (
@@ -21,237 +17,17 @@ import (
 	"rcgo/internal/exp"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchlint: "+format+"\n", args...)
-	os.Exit(1)
-}
-
 func main() {
 	var report exp.BenchReport
 	dec := json.NewDecoder(os.Stdin)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&report); err != nil {
-		fail("invalid JSON: %v", err)
+		fmt.Fprintf(os.Stderr, "benchlint: invalid JSON: %v\n", err)
+		os.Exit(1)
 	}
-	if report.Schema != exp.BenchSchema {
-		fail("schema %q, want %q", report.Schema, exp.BenchSchema)
+	if err := report.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchlint: %v\n", err)
+		os.Exit(1)
 	}
-	if len(report.Workloads) == 0 {
-		fail("no workloads in report")
-	}
-	if report.Options.Reps <= 0 {
-		fail("options.reps = %d, want > 0", report.Options.Reps)
-	}
-	seen := make(map[string]bool)
-	for i, w := range report.Workloads {
-		if w.Name == "" {
-			fail("workload %d has no name", i)
-		}
-		if seen[w.Name] {
-			fail("workload %q appears twice", w.Name)
-		}
-		seen[w.Name] = true
-		if w.SimNanos <= 0 {
-			fail("%s: sim_ns = %d, want > 0", w.Name, w.SimNanos)
-		}
-		if w.WallNanos <= 0 {
-			fail("%s: wall_ns = %d, want > 0", w.Name, w.WallNanos)
-		}
-		if w.BaselineSimNanos <= 0 {
-			fail("%s: baseline_sim_ns = %d, want > 0", w.Name, w.BaselineSimNanos)
-		}
-		for _, c := range []struct {
-			name string
-			v    int64
-		}{
-			{"allocs", w.Allocs},
-			{"rc_increments", w.RCIncrements},
-			{"rc_decrements", w.RCDecrements},
-			{"full_updates", w.FullUpdates},
-			{"same_checks", w.SameChecks},
-			{"trad_checks", w.TradChecks},
-			{"parent_checks", w.ParentChecks},
-			{"unchecked_stores", w.UncheckedStores},
-			{"pin_ops", w.PinOps},
-			{"unscan_words", w.UnscanWords},
-			{"unscan_ns", w.UnscanNanos},
-		} {
-			if c.v < 0 {
-				fail("%s: %s = %d, want >= 0", w.Name, c.name, c.v)
-			}
-		}
-		if w.Allocs == 0 {
-			fail("%s: allocs = 0 — the workload did not run", w.Name)
-		}
-		if w.Stores() == 0 {
-			fail("%s: no pointer stores recorded", w.Name)
-		}
-	}
-	seenPar := make(map[string]bool)
-	for i, p := range report.Parallel {
-		if p.Name == "" {
-			fail("parallel cell %d has no name", i)
-		}
-		if seenPar[p.Name] {
-			fail("parallel cell %q appears twice", p.Name)
-		}
-		seenPar[p.Name] = true
-		if p.CPU <= 0 {
-			fail("%s: cpu = %d, want > 0", p.Name, p.CPU)
-		}
-		if p.BestOf <= 0 {
-			fail("%s: best_of = %d, want > 0", p.Name, p.BestOf)
-		}
-		if p.NsPerOp <= 0 {
-			fail("%s: ns_op = %g, want > 0", p.Name, p.NsPerOp)
-		}
-		if p.BaselineNs <= 0 {
-			fail("%s: baseline_ns_op = %g, want > 0", p.Name, p.BaselineNs)
-		}
-	}
-	seenFab := make(map[string]bool)
-	for i, f := range report.Fabric {
-		if f.Name == "" {
-			fail("fabric cell %d has no name", i)
-		}
-		if seenFab[f.Name] {
-			fail("fabric cell %q appears twice", f.Name)
-		}
-		seenFab[f.Name] = true
-		if f.CPU <= 0 {
-			fail("%s: cpu = %d, want > 0", f.Name, f.CPU)
-		}
-		if f.BestOf <= 0 {
-			fail("%s: best_of = %d, want > 0", f.Name, f.BestOf)
-		}
-		if f.LiveRegions <= 0 {
-			fail("%s: live_regions = %d, want > 0", f.Name, f.LiveRegions)
-		}
-		if f.Shards < 2 {
-			fail("%s: shards = %d, want >= 2 (the baseline side is always 1 shard)", f.Name, f.Shards)
-		}
-		if f.NsPerOp <= 0 {
-			fail("%s: ns_op = %g, want > 0", f.Name, f.NsPerOp)
-		}
-		if f.BaselineNs <= 0 {
-			fail("%s: baseline_ns_op = %g, want > 0", f.Name, f.BaselineNs)
-		}
-	}
-	seenAdv := make(map[string]bool)
-	for i, ab := range report.Advisor {
-		if ab.Name == "" {
-			fail("advisor cell %d has no name", i)
-		}
-		if seenAdv[ab.Name] {
-			fail("advisor cell %q appears twice", ab.Name)
-		}
-		seenAdv[ab.Name] = true
-		if ab.CPU <= 0 {
-			fail("%s: cpu = %d, want > 0", ab.Name, ab.CPU)
-		}
-		if ab.BestOf <= 0 {
-			fail("%s: best_of = %d, want > 0", ab.Name, ab.BestOf)
-		}
-		if ab.NsPerOp <= 0 {
-			fail("%s: ns_op = %g, want > 0", ab.Name, ab.NsPerOp)
-		}
-		if ab.BaselineNs <= 0 {
-			fail("%s: baseline_ns_op = %g, want > 0", ab.Name, ab.BaselineNs)
-		}
-	}
-	seenOwn := make(map[string]bool)
-	for i, ob := range report.Ownership {
-		if ob.Name == "" {
-			fail("ownership cell %d has no name", i)
-		}
-		if seenOwn[ob.Name] {
-			fail("ownership cell %q appears twice", ob.Name)
-		}
-		seenOwn[ob.Name] = true
-		if ob.CPU <= 0 {
-			fail("%s: cpu = %d, want > 0", ob.Name, ob.CPU)
-		}
-		if ob.BestOf <= 0 {
-			fail("%s: best_of = %d, want > 0", ob.Name, ob.BestOf)
-		}
-		if ob.NsPerOp <= 0 {
-			fail("%s: ns_op = %g, want > 0", ob.Name, ob.NsPerOp)
-		}
-		if ob.BaselineNs <= 0 {
-			fail("%s: baseline_ns_op = %g, want > 0", ob.Name, ob.BaselineNs)
-		}
-	}
-	seenSlab := make(map[string]bool)
-	for i, sb := range report.Slab {
-		if sb.Name == "" {
-			fail("slab cell %d has no name", i)
-		}
-		if seenSlab[sb.Name] {
-			fail("slab cell %q appears twice", sb.Name)
-		}
-		seenSlab[sb.Name] = true
-		if sb.CPU <= 0 {
-			fail("%s: cpu = %d, want > 0", sb.Name, sb.CPU)
-		}
-		if sb.BestOf <= 0 {
-			fail("%s: best_of = %d, want > 0", sb.Name, sb.BestOf)
-		}
-		if sb.NsPerOp <= 0 {
-			fail("%s: ns_op = %g, want > 0", sb.Name, sb.NsPerOp)
-		}
-		if sb.BaselineNs <= 0 {
-			fail("%s: baseline_ns_op = %g, want > 0", sb.Name, sb.BaselineNs)
-		}
-		for _, c := range []struct {
-			name string
-			v    int64
-		}{
-			{"baseline_heap_bytes", sb.HeapBytes},
-			{"heap_bytes", sb.SlabHeapBytes},
-			{"baseline_gc_pause_ns", sb.GCPauseNs},
-			{"gc_pause_ns", sb.SlabGCPauseNs},
-			{"baseline_num_gc", sb.NumGC},
-			{"num_gc", sb.SlabNumGC},
-		} {
-			if c.v < 0 {
-				fail("%s: %s = %d, want >= 0", sb.Name, c.name, c.v)
-			}
-		}
-		// A GC-pressure cell (a nonzero MemStats bracket on either side)
-		// must have measured some baseline heap traffic — an all-zero
-		// baseline means the bracket never ran.
-		if (sb.SlabHeapBytes != 0 || sb.GCPauseNs != 0 || sb.SlabGCPauseNs != 0) && sb.HeapBytes == 0 {
-			fail("%s: GC-pressure cell recorded no baseline heap bytes", sb.Name)
-		}
-	}
-	seenCon := make(map[string]bool)
-	for i, cb := range report.Contention {
-		if cb.Name == "" {
-			fail("contention cell %d has no name", i)
-		}
-		if seenCon[cb.Name] {
-			fail("contention cell %q appears twice", cb.Name)
-		}
-		seenCon[cb.Name] = true
-		if cb.CPU <= 0 {
-			fail("%s: cpu = %d, want > 0", cb.Name, cb.CPU)
-		}
-		if cb.BestOf <= 0 {
-			fail("%s: best_of = %d, want > 0", cb.Name, cb.BestOf)
-		}
-		if cb.NsPerOp <= 0 {
-			fail("%s: ns_op = %g, want > 0", cb.Name, cb.NsPerOp)
-		}
-		if cb.BaselineNs <= 0 {
-			fail("%s: baseline_ns_op = %g, want > 0", cb.Name, cb.BaselineNs)
-		}
-	}
-	if len(report.Parallel) > 0 || len(report.Fabric) > 0 || len(report.Advisor) > 0 ||
-		len(report.Ownership) > 0 || len(report.Contention) > 0 || len(report.Slab) > 0 {
-		fmt.Printf("benchlint: ok (%d workloads, %d parallel cells, %d fabric cells, %d advisor cells, %d ownership cells, %d contention cells, %d slab cells)\n",
-			len(report.Workloads), len(report.Parallel), len(report.Fabric), len(report.Advisor),
-			len(report.Ownership), len(report.Contention), len(report.Slab))
-		return
-	}
-	fmt.Printf("benchlint: ok (%d workloads)\n", len(report.Workloads))
+	fmt.Printf("benchlint: ok (%d workloads, %d ab cells)\n", len(report.Workloads), len(report.AB))
 }

@@ -9,21 +9,18 @@
 //	rcbench -figure 8        # one figure (7, 8 or 9)
 //	rcbench -scale 50 -reps 5 -workloads moss,tile
 //	rcbench -json            # machine-readable report on stdout
-//	rcbench -alloc-ab 10 -ab-cpu 8   # Go-native allocation fast-path A/B
-//	rcbench -fabric-ab 10 -fabric-cpu 8 -fabric-live 256   # arena fabric A/B
-//	rcbench -advisor-ab 10 -advisor-cpu 8   # annotation-advisor gate A/B
-//	rcbench -own-ab 10 -own-cpu 2    # ownership fast-path A/B (shared vs Owner token)
-//	rcbench -contend-ab 10 -contend-cpu 4   # blocking-acquisition A/B (fast path + hand-off storm)
-//	rcbench -slab-ab 10 -slab-cpu 4  # off-heap slab A/B (GC-heap chunks vs slab store, with a GC-pressure cell)
+//	rcbench -ab all -reps 10         # every Go-native A/B scenario, 10 ABBA rounds each
+//	rcbench -ab slab,own-setref      # groups (alloc fabric advisor own contend slab) and scenario names
 //	rcbench -advise              # profile a deliberately un-annotated
 //	                             # grobner-mix replay and print the
 //	                             # advisor's upgrade table; exits non-zero
 //	                             # if no upgrade candidate is found
-//	rcbench -json -workloads grobner -alloc-ab 10   # record a parallel section
+//	GOMAXPROCS=2 rcbench -json -reps 10 -workloads moss -ab all   # record a report with an ab section
 //
+// The A/B scenarios run with as many workers as GOMAXPROCS (internal/exp/ab.go).
 // With -json the human tables are skipped (-table/-figure/-space/-bars
 // are ignored) and a single exp.BenchReport document — schema
-// "rcgo.bench/1", see internal/exp/json.go — is written to stdout, for
+// "rcgo.bench/2", see internal/exp/json.go — is written to stdout, for
 // recording BENCH_*.json trajectory files and for cmd/benchlint.
 package main
 
@@ -42,23 +39,11 @@ func main() {
 	space := flag.Bool("space", false, "also report peak heap footprint per backend")
 	figure := flag.Int("figure", 0, "regenerate only this figure (7, 8 or 9)")
 	scale := flag.Int("scale", 0, "override workload scale (0 = default)")
-	reps := flag.Int("reps", 3, "timed repetitions per cell (best is reported)")
+	reps := flag.Int("reps", 3, "timed repetitions per workload cell (best is reported) and ABBA rounds per -ab scenario")
 	names := flag.String("workloads", "", "comma-separated workload subset")
 	bars := flag.Bool("bars", false, "also render figures as bar charts")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable report (rcgo.bench/1) instead of tables")
-	allocAB := flag.Int("alloc-ab", 0, "run the Go-native allocation fast-path A/B benchmarks, best of N interleaved runs per side (0 = skip)")
-	abCPU := flag.Int("ab-cpu", 8, "GOMAXPROCS for the -alloc-ab benchmarks")
-	fabricAB := flag.Int("fabric-ab", 0, "run the arena fabric A/B benchmarks (1 shard vs GOMAXPROCS-wide), best of N interleaved runs per side (0 = skip)")
-	fabricCPU := flag.Int("fabric-cpu", 8, "GOMAXPROCS for the -fabric-ab benchmarks")
-	fabricLive := flag.Int("fabric-live", 256, "live-region backdrop population for the -fabric-ab benchmarks")
-	advisorAB := flag.Int("advisor-ab", 0, "run the annotation-advisor gate A/B benchmarks (disarmed vs armed), best of N interleaved runs per side (0 = skip)")
-	advisorCPU := flag.Int("advisor-cpu", 8, "GOMAXPROCS for the -advisor-ab benchmarks")
-	ownAB := flag.Int("own-ab", 0, "run the ownership fast-path A/B benchmarks (shared path vs Owner token), best of N interleaved runs per side (0 = skip)")
-	ownCPU := flag.Int("own-cpu", 2, "GOMAXPROCS for the -own-ab benchmarks")
-	contendAB := flag.Int("contend-ab", 0, "run the blocking-acquisition A/B benchmarks (TryAcquire cycle vs AcquireContext, uncontended and under a hand-off storm), best of N interleaved runs per side (0 = skip)")
-	contendCPU := flag.Int("contend-cpu", 4, "GOMAXPROCS (and contender count) for the -contend-ab benchmarks")
-	slabAB := flag.Int("slab-ab", 0, "run the off-heap slab A/B benchmarks (GC-heap chunks vs the slab backing store, plus a GC-pressure cell), best of N interleaved runs per side (0 = skip)")
-	slabCPU := flag.Int("slab-cpu", 4, "GOMAXPROCS for the -slab-ab benchmarks")
+	jsonOut := flag.Bool("json", false, "emit a machine-readable report (rcgo.bench/2) instead of tables")
+	ab := flag.String("ab", "", "run the interleaved A/B scenarios named: all, or a comma list of scenario and group names")
 	advise := flag.Bool("advise", false, "replay the grobner op mix un-annotated through an advisor-armed arena and print the upgrade table; exit non-zero if no upgrade candidate is found")
 	adviseAllocs := flag.Int("advise-allocs", 0, "allocation count for the -advise replay (0 = default)")
 	flag.Parse()
@@ -79,39 +64,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *allocAB > 0 {
-			report.Parallel, err = exp.AllocAB(*abCPU, *allocAB)
-			if err != nil {
-				fail(err)
-			}
-		}
-		if *fabricAB > 0 {
-			report.Fabric, err = exp.FabricAB(*fabricCPU, *fabricAB, *fabricLive)
-			if err != nil {
-				fail(err)
-			}
-		}
-		if *advisorAB > 0 {
-			report.Advisor, err = exp.AdvisorAB(*advisorCPU, *advisorAB)
-			if err != nil {
-				fail(err)
-			}
-		}
-		if *ownAB > 0 {
-			report.Ownership, err = exp.OwnAB(*ownCPU, *ownAB)
-			if err != nil {
-				fail(err)
-			}
-		}
-		if *contendAB > 0 {
-			report.Contention, err = exp.ContendAB(*contendCPU, *contendAB)
-			if err != nil {
-				fail(err)
-			}
-		}
-		if *slabAB > 0 {
-			report.Slab, err = exp.SlabAB(*slabCPU, *slabAB)
-			if err != nil {
+		if *ab != "" {
+			if report.AB, err = exp.RunAB(*ab, *reps); err != nil {
 				fail(err)
 			}
 		}
@@ -132,78 +86,18 @@ func main() {
 		if rep.UpgradeCandidates == 0 {
 			fail(fmt.Errorf("advise replay found no upgrade candidates — the advisor lost the flavour lattice"))
 		}
-		if *allocAB == 0 && *fabricAB == 0 && *advisorAB == 0 && *ownAB == 0 && *contendAB == 0 && *slabAB == 0 && *table == 0 && *figure == 0 {
+		if *ab == "" && *table == 0 && *figure == 0 {
 			return
 		}
 		fmt.Println()
 	}
 
-	if *allocAB > 0 {
-		cells, err := exp.AllocAB(*abCPU, *allocAB)
+	if *ab != "" {
+		cells, err := exp.RunAB(*ab, *reps)
 		if err != nil {
 			fail(err)
 		}
-		exp.PrintAllocAB(os.Stdout, cells)
-		if *fabricAB == 0 && *advisorAB == 0 && *ownAB == 0 && *contendAB == 0 && *slabAB == 0 && *table == 0 && *figure == 0 {
-			return
-		}
-		fmt.Println()
-	}
-
-	if *fabricAB > 0 {
-		cells, err := exp.FabricAB(*fabricCPU, *fabricAB, *fabricLive)
-		if err != nil {
-			fail(err)
-		}
-		exp.PrintFabricAB(os.Stdout, cells)
-		if *advisorAB == 0 && *ownAB == 0 && *contendAB == 0 && *slabAB == 0 && *table == 0 && *figure == 0 {
-			return
-		}
-		fmt.Println()
-	}
-
-	if *advisorAB > 0 {
-		cells, err := exp.AdvisorAB(*advisorCPU, *advisorAB)
-		if err != nil {
-			fail(err)
-		}
-		exp.PrintAdvisorAB(os.Stdout, cells)
-		if *ownAB == 0 && *contendAB == 0 && *slabAB == 0 && *table == 0 && *figure == 0 {
-			return
-		}
-		fmt.Println()
-	}
-
-	if *ownAB > 0 {
-		cells, err := exp.OwnAB(*ownCPU, *ownAB)
-		if err != nil {
-			fail(err)
-		}
-		exp.PrintOwnAB(os.Stdout, cells)
-		if *contendAB == 0 && *slabAB == 0 && *table == 0 && *figure == 0 {
-			return
-		}
-		fmt.Println()
-	}
-
-	if *contendAB > 0 {
-		cells, err := exp.ContendAB(*contendCPU, *contendAB)
-		if err != nil {
-			fail(err)
-		}
-		exp.PrintContendAB(os.Stdout, cells)
-		if *slabAB == 0 && *table == 0 && *figure == 0 {
-			return
-		}
-		fmt.Println()
-	}
-
-	if *slabAB > 0 {
-		cells, err := exp.SlabAB(*slabCPU, *slabAB)
-		if err != nil {
-			fail(err)
-		}
-		exp.PrintSlabAB(os.Stdout, cells)
+		exp.PrintAB(os.Stdout, cells)
 		if *table == 0 && *figure == 0 {
 			return
 		}

@@ -4,18 +4,19 @@ package exp
 // is versioned so recorded trajectory files (BENCH_*.json) stay
 // comparable across runs: consumers must check Schema before reading
 // any other field, and additions bump the minor suffix only when a
-// field changes meaning. cmd/benchlint validates the invariants below
-// (see its source for the exact rules); `make bench-smoke` runs a tiny
+// field changes meaning. (*BenchReport).Validate holds the invariants;
+// cmd/benchlint applies it to stdin, and `make ab-smoke` runs a tiny
 // rcbench -json through it.
 
 import (
 	"fmt"
+	"math"
 
 	"rcgo"
 )
 
 // BenchSchema identifies the report layout. Format: "rcgo.bench/<n>".
-const BenchSchema = "rcgo.bench/1"
+const BenchSchema = "rcgo.bench/2"
 
 // BenchOptions echoes the options the report was produced under, so a
 // recorded file is self-describing.
@@ -69,39 +70,184 @@ type BenchReport struct {
 	Schema    string           `json:"schema"`
 	Options   BenchOptions     `json:"options"`
 	Workloads []WorkloadReport `json:"workloads"`
-	// Parallel is the optional interleaved A/B section over the
-	// Go-native allocation fast path (rcbench -alloc-ab, parallel.go);
-	// absent from workload-only reports, so older recorded files stay
-	// valid under the same schema.
-	Parallel []ParallelReport `json:"parallel,omitempty"`
-	// Fabric is the optional interleaved A/B section over the arena's
-	// sharding fabric (rcbench -fabric-ab, fabric.go): single-shard
-	// baseline against a multi-shard fabric under a live multi-region
-	// population. Optional for the same reason as Parallel.
-	Fabric []FabricReport `json:"fabric,omitempty"`
-	// Advisor is the optional interleaved A/B section over the
-	// annotation advisor's gate (rcbench -advisor-ab, advise.go):
-	// advisor disarmed (the default configuration, whose cost bound is
-	// the point) against armed-from-birth profiling. Optional for the
-	// same reason as Parallel.
-	Advisor []AdvisorBenchReport `json:"advisor,omitempty"`
-	// Ownership is the optional interleaved A/B section over the
-	// exclusive-ownership fast path (rcbench -own-ab, own.go): the
-	// shared-path API against the same work through an Owner token.
-	// Optional for the same reason as Parallel.
-	Ownership []OwnershipReport `json:"ownership,omitempty"`
-	// Contention is the optional interleaved A/B section over blocking
-	// ownership acquisition (rcbench -contend-ab, contend.go): the
-	// uncontended TryAcquire cycle against AcquireContext, first on the
-	// fast path and then under a many-worker hand-off storm. Optional
-	// for the same reason as Parallel.
-	Contention []ContentionReport `json:"contention,omitempty"`
-	// Slab is the optional interleaved A/B section over the off-heap
-	// slab backing store (rcbench -slab-ab, slab.go): GC-heap object
-	// chunks against rcgo.WithOffHeapSlabs, including a GC-pressure
-	// cell with the collector live. Optional for the same reason as
-	// Parallel.
-	Slab []SlabReport `json:"slab,omitempty"`
+	// AB holds the interleaved A/B cells (rcbench -ab, ab.go); absent
+	// from workload-only reports.
+	AB []ABCell `json:"ab,omitempty"`
+}
+
+// ABCell is one interleaved A/B scenario's result: rounds ABBA-ordered
+// pairs of fixed-work runs (iters operations each) at GOMAXPROCS cpu,
+// with the GC quiesced or live (GCQuiesced, GCLive).
+type ABCell struct {
+	Name   string `json:"name"`
+	Group  string `json:"group"`
+	CPU    int    `json:"cpu"`
+	Rounds int    `json:"rounds"`
+	Iters  int    `json:"iters"`
+	GC     string `json:"gc"`
+	Base   ABSide `json:"base"`
+	Treat  ABSide `json:"treat"`
+	// DeltaPct is the median across rounds of the per-round paired
+	// improvement, (base - treat) / base * 100: positive when the
+	// treatment is faster.
+	DeltaPct float64 `json:"delta_pct"`
+	// Wins is the number of rounds whose treatment run was faster.
+	Wins int `json:"wins"`
+}
+
+// ABSide is one side of an A/B cell: its worker count and the
+// quartiles of its ns/op across rounds. A live-GC cell also carries the
+// side's runtime.ReadMemStats deltas summed over its rounds: GC-heap
+// bytes allocated (TotalAlloc), stop-the-world pause time and
+// collection cycles.
+type ABSide struct {
+	Workers   int     `json:"workers"`
+	P25       float64 `json:"p25_ns_op"`
+	P50       float64 `json:"p50_ns_op"`
+	P75       float64 `json:"p75_ns_op"`
+	HeapBytes int64   `json:"heap_bytes,omitempty"`
+	GCPauseNs int64   `json:"gc_pause_ns,omitempty"`
+	NumGC     int64   `json:"num_gc,omitempty"`
+}
+
+// iqrPct is the side's interquartile range as a percent of its median:
+// the run-to-run noise band of the side.
+func (s ABSide) iqrPct() float64 { return 100 * (s.P75 - s.P25) / s.P50 }
+
+// Validate checks the invariants every rcgo.bench/2 document must
+// satisfy and returns the first violation: the schema tag; at least one
+// workload, uniquely named, with positive times, non-negative counters,
+// a non-zero allocation and store total; and per A/B cell a unique
+// name, a sane geometry, ordered positive quartiles, wins within
+// rounds, a GC bracket exactly on live cells, and a delta whose sign
+// agrees with the medians unless it lies inside both sides' noise band.
+func (r *BenchReport) Validate() error {
+	if r.Schema != BenchSchema {
+		return fmt.Errorf("schema %q, want %q", r.Schema, BenchSchema)
+	}
+	if len(r.Workloads) == 0 {
+		return fmt.Errorf("no workloads in report")
+	}
+	if r.Options.Reps <= 0 {
+		return fmt.Errorf("options.reps = %d, want > 0", r.Options.Reps)
+	}
+	seen := make(map[string]bool)
+	for i, w := range r.Workloads {
+		if w.Name == "" {
+			return fmt.Errorf("workload %d has no name", i)
+		}
+		if seen[w.Name] {
+			return fmt.Errorf("workload %q appears twice", w.Name)
+		}
+		seen[w.Name] = true
+		if err := w.validate(); err != nil {
+			return fmt.Errorf("%s: %w", w.Name, err)
+		}
+	}
+	seen = make(map[string]bool)
+	for i, c := range r.AB {
+		if c.Name == "" {
+			return fmt.Errorf("ab cell %d has no name", i)
+		}
+		if seen[c.Name] {
+			return fmt.Errorf("ab cell %q appears twice", c.Name)
+		}
+		seen[c.Name] = true
+		if err := c.validate(); err != nil {
+			return fmt.Errorf("%s: %w", c.Name, err)
+		}
+	}
+	return nil
+}
+
+func (w *WorkloadReport) validate() error {
+	for _, t := range []struct {
+		name string
+		v    int64
+	}{
+		{"sim_ns", w.SimNanos},
+		{"wall_ns", w.WallNanos},
+		{"baseline_sim_ns", w.BaselineSimNanos},
+	} {
+		if t.v <= 0 {
+			return fmt.Errorf("%s = %d, want > 0", t.name, t.v)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{
+		{"allocs", w.Allocs},
+		{"rc_increments", w.RCIncrements},
+		{"rc_decrements", w.RCDecrements},
+		{"full_updates", w.FullUpdates},
+		{"same_checks", w.SameChecks},
+		{"trad_checks", w.TradChecks},
+		{"parent_checks", w.ParentChecks},
+		{"unchecked_stores", w.UncheckedStores},
+		{"pin_ops", w.PinOps},
+		{"unscan_words", w.UnscanWords},
+		{"unscan_ns", w.UnscanNanos},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("%s = %d, want >= 0", c.name, c.v)
+		}
+	}
+	if w.Allocs == 0 {
+		return fmt.Errorf("allocs = 0 — the workload did not run")
+	}
+	if w.Stores() == 0 {
+		return fmt.Errorf("no pointer stores recorded")
+	}
+	return nil
+}
+
+func (c *ABCell) validate() error {
+	if c.Group == "" {
+		return fmt.Errorf("no group")
+	}
+	if c.CPU <= 0 || c.Rounds <= 0 || c.Iters <= 0 {
+		return fmt.Errorf("cpu %d, rounds %d, iters %d: want all > 0", c.CPU, c.Rounds, c.Iters)
+	}
+	if c.Wins < 0 || c.Wins > c.Rounds {
+		return fmt.Errorf("wins = %d, want within [0, rounds %d]", c.Wins, c.Rounds)
+	}
+	if c.GC != GCQuiesced && c.GC != GCLive {
+		return fmt.Errorf("gc = %q, want %q or %q", c.GC, GCQuiesced, GCLive)
+	}
+	for _, s := range []struct {
+		name string
+		ABSide
+	}{{"base", c.Base}, {"treat", c.Treat}} {
+		if s.Workers <= 0 || s.Workers > c.Iters {
+			return fmt.Errorf("%s: workers = %d, want within [1, iters %d]", s.name, s.Workers, c.Iters)
+		}
+		if !(0 < s.P25 && s.P25 <= s.P50 && s.P50 <= s.P75) {
+			return fmt.Errorf("%s: quartiles %g/%g/%g, want 0 < p25 <= p50 <= p75", s.name, s.P25, s.P50, s.P75)
+		}
+		if s.HeapBytes < 0 || s.GCPauseNs < 0 || s.NumGC < 0 {
+			return fmt.Errorf("%s: negative GC bracket %+v", s.name, s.ABSide)
+		}
+		if c.GC == GCQuiesced && (s.HeapBytes != 0 || s.GCPauseNs != 0 || s.NumGC != 0) {
+			return fmt.Errorf("%s: GC bracket on a quiesced cell", s.name)
+		}
+	}
+	// A live cell must have measured some baseline heap traffic: an
+	// all-zero baseline means the bracket never ran.
+	if c.GC == GCLive && c.Base.HeapBytes == 0 {
+		return fmt.Errorf("live cell recorded no baseline heap bytes")
+	}
+	// The delta and the medians are two views of one measurement. They
+	// may disagree in sign only inside the noise band: a paired-median
+	// delta larger than either side's IQR pointing the other way means
+	// the cell mixes statistics or its rounds are unpaired.
+	if diff := c.Base.P50 - c.Treat.P50; c.DeltaPct*diff < 0 {
+		if band := max(c.Base.iqrPct(), c.Treat.iqrPct()); math.Abs(c.DeltaPct) > band {
+			return fmt.Errorf("delta_pct %+.1f%% contradicts medians %g (base) vs %g (treat) beyond the %.1f%% IQR band",
+				c.DeltaPct, c.Base.P50, c.Treat.P50, band)
+		}
+	}
+	return nil
 }
 
 // BenchJSON runs every selected workload under the RC and norc

@@ -27,6 +27,13 @@ var (
 // classes exist for callers that batch more aggressively.
 var classSizes = [...]int{8 << 10, 16 << 10, 32 << 10, 64 << 10}
 
+// blockAlign is the alignment every block carries: the smallest class.
+// mmap guarantees only page alignment (4 KiB on most platforms), so each
+// segment is mapped blockAlign bytes larger than its budgeted size and
+// carved from the first blockAlign boundary inside the mapping. The
+// slack is never written, so it stays unbacked address space.
+const blockAlign = 8 << 10
+
 // defaultSegmentBytes is the mapping granularity: segments are mapped
 // rarely and carved often, so they are much larger than any class.
 const defaultSegmentBytes = 1 << 20
@@ -67,9 +74,10 @@ type Config struct {
 // segment is one mapped (or heap-allocated) region of backing memory,
 // bump-carved into class blocks.
 type segment struct {
-	buf    []byte
-	mapped bool // true: syscall-mapped, Close must munmap
-	off    int  // carve cursor
+	buf    []byte // carve window: blockAlign-aligned, segment-size bytes
+	raw    []byte // the whole mapping, what Close releases
+	mapped bool   // true: syscall-mapped, Close must munmap
+	off    int    // carve cursor
 }
 
 // class is one size class: its block size and the segregated free list
@@ -84,7 +92,9 @@ type class struct {
 // InUsePages, always, even mid-flight, because every transition
 // happens under the store mutex.
 type Stats struct {
-	// Segments / MappedBytes describe the raw backing memory.
+	// Segments / MappedBytes describe the backing memory the budget
+	// counts: the carvable bytes of each segment, without its
+	// alignment slack.
 	Segments    int64 `json:"segments"`
 	MappedBytes int64 `json:"mapped_bytes"`
 	// CarvedPages counts blocks ever carved out of segments;
@@ -117,7 +127,8 @@ type Store struct {
 	stats    Stats
 
 	// mapFn maps one segment; defaults to the platform backend and is
-	// swappable by in-package tests to exercise the ErrMapFailed path.
+	// swappable by in-package tests to exercise the ErrMapFailed path
+	// and segments whose base is not block-aligned.
 	mapFn func(size int) ([]byte, error)
 }
 
@@ -211,11 +222,13 @@ func (s *Store) carveLocked(cs int) (unsafe.Pointer, error) {
 	if s.maxBytes > 0 && s.stats.MappedBytes+int64(segSize) > s.maxBytes {
 		return nil, fmt.Errorf("%w: %d of %d bytes mapped", ErrExhausted, s.stats.MappedBytes, s.maxBytes)
 	}
-	buf, err := s.mapFn(segSize)
+	raw, err := s.mapFn(segSize + blockAlign)
 	if err != nil {
 		return nil, err
 	}
-	s.segs = append(s.segs, segment{buf: buf, mapped: s.useMmap})
+	pad := int(-uintptr(unsafe.Pointer(&raw[0])) & (blockAlign - 1))
+	buf := raw[pad : pad+segSize : pad+segSize]
+	s.segs = append(s.segs, segment{buf: buf, raw: raw, mapped: s.useMmap})
 	s.stats.Segments++
 	s.stats.MappedBytes += int64(segSize)
 	s.stats.Maps++
@@ -277,7 +290,7 @@ func (s *Store) Close() error {
 	var first error
 	for _, seg := range segs {
 		if seg.mapped {
-			if err := sysUnmap(seg.buf); err != nil && first == nil {
+			if err := sysUnmap(seg.raw); err != nil && first == nil {
 				first = fmt.Errorf("%w: unmap: %v", ErrMapFailed, err)
 			}
 		}

@@ -77,6 +77,35 @@ func TestClassRoundingAndAlignment(t *testing.T) {
 	}
 }
 
+// mmap promises only page alignment. A segment whose base is 4 KiB- but
+// not 8 KiB-aligned must still yield 8 KiB-aligned blocks, and the same
+// number of them within the budget as an aligned one.
+func TestMisalignedSegmentYieldsAlignedBlocks(t *testing.T) {
+	s := New(Config{ForceHeap: true, MaxBytes: 64 << 10, SegmentBytes: 64 << 10})
+	defer s.Close()
+	s.mapFn = func(size int) ([]byte, error) {
+		raw := make([]byte, size+2*blockAlign)
+		off := int(-uintptr(unsafe.Pointer(&raw[0]))&(blockAlign-1)) + 4<<10
+		return raw[off : off+size], nil
+	}
+	for i := 0; i < 8; i++ {
+		p, err := s.Alloc(8 << 10)
+		if err != nil {
+			t.Fatalf("Alloc %d within budget: %v", i, err)
+		}
+		if uintptr(p)%blockAlign != 0 {
+			t.Fatalf("Alloc %d = %p not 8 KiB-aligned", i, p)
+		}
+	}
+	if _, err := s.Alloc(8 << 10); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("over budget: got %v, want ErrExhausted", err)
+	}
+	if st := s.Stats(); st.MappedBytes != 64<<10 || st.Segments != 1 {
+		t.Fatalf("mapped %d bytes in %d segments, want 65536 in 1", st.MappedBytes, st.Segments)
+	}
+	checkAccounting(t, s)
+}
+
 func TestExhaustedUnwrapChain(t *testing.T) {
 	s := New(Config{MaxBytes: 64 << 10, SegmentBytes: 64 << 10})
 	defer s.Close()

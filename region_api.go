@@ -607,15 +607,18 @@ func (r *Region) DeleteDeferred() {
 		return
 	}
 	r.state.Store(stateDying)
-	// Same dying-window failpoint as Delete, but DeleteDeferred has no
-	// error return: only the perturbing actions (delay/yield/hook) apply.
-	fpDeleteDying.Perturb()
 	// Flush the batched allocation deltas at the deferral point: a
 	// zombie keeps its objects live until reclaim, so its objs count
 	// must be settled for Stats readers and the auditor. (The
 	// immediate-reclaim branch below relies on reclaim's own drain.)
 	r.flushAllocPendingLocked()
-	if r.rc.Load() == 0 && r.children.Load() == 0 {
+	drained := r.rc.Load() == 0 && r.children.Load() == 0
+	// Same dying-window failpoint as Delete, but DeleteDeferred has no
+	// error return: only the perturbing actions (delay/yield/hook) apply.
+	// It sits between the count read and the state store below, the
+	// window in which a release can drop the last reference unseen.
+	fpDeleteDying.Perturb()
+	if drained {
 		r.state.Store(stateDead)
 		r.shard.liveRegions.Add(-1)
 		r.mu.Unlock()
@@ -634,6 +637,10 @@ func (r *Region) DeleteDeferred() {
 		c.deferredDeletes.Add(1)
 	}
 	r.arena.traceEvent(TraceRegionDeferred, r)
+	// A decRC or child delete that took the last count to zero after the
+	// read above found the region dying, not zombie, and did not drain
+	// it; re-offer the drain now that stateZombie is published.
+	r.maybeDrain()
 }
 
 // reclaim frees the region's bookkeeping. The caller has already made

@@ -76,6 +76,38 @@ func TestTryOpsOnZombieRegion(t *testing.T) {
 	}()
 }
 
+// A counted reference released inside DeleteDeferred's dying window,
+// after the deleter read the count and before it published the zombie
+// state, finds the region dying and cannot drain it; the deleter must
+// re-offer the drain itself, or the region stays a zombie until a sweep.
+func TestDeleteDeferredDrainsReleaseInDyingWindow(t *testing.T) {
+	defer failpoint.Disable("rcgo/delete.dying")
+	a := NewArena()
+	holder := Alloc[auditNode](a.NewRegion())
+	target := a.NewRegion()
+	if err := SetRef(holder, &holder.Value.Next, Alloc[auditNode](target)); err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable("rcgo/delete.dying", failpoint.Rule{
+		Action: failpoint.ActionHook,
+		Hook: func() {
+			if err := SetRef(holder, &holder.Value.Next, nil); err != nil {
+				t.Errorf("releasing the last reference: %v", err)
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	target.DeleteDeferred()
+	failpoint.Disable("rcgo/delete.dying")
+	if !target.Deleted() || target.Deferred() {
+		t.Fatalf("region left as a zombie (deleted=%v deferred=%v); want reclaimed", target.Deleted(), target.Deferred())
+	}
+	if got := a.DeferredRegions(); got != 0 {
+		t.Fatalf("DeferredRegions = %d, want 0", got)
+	}
+}
+
 // Holds the dying window open with a hook on rcgo/delete.dying and
 // checks both transient behaviours: TryPin spins (does not error) until
 // the deleting goroutine decides, then observes the decision; and a

@@ -116,7 +116,7 @@ type arenaConfig struct {
 // to [1, 256] and rounded up to the next power of two (the shard pick
 // is a mask). WithShards(1) reproduces the pre-fabric single-arena
 // behaviour — every region on one shard — and is the baseline side of
-// the fabric A/B benchmarks (cmd/rcbench -fabric-ab). The default,
+// the fabric A/B benchmarks (cmd/rcbench -ab fabric). The default,
 // without this option, derives the count from GOMAXPROCS at
 // construction time.
 func WithShards(n int) Option {
@@ -142,7 +142,7 @@ func WithTracer(t Tracer) Option {
 
 // WithAllocCache enables (true, the default) or disables the allocation
 // fast path (region_alloccache.go) for the arena's regions — the A/B
-// ablation knob (cmd/rcbench -alloc-ab), fixed for the arena's life.
+// ablation knob (cmd/rcbench -ab alloc), fixed for the arena's life.
 // Disabled, TryAlloc takes the pre-cache slow path: lifecycle mutex
 // plus direct atomic counter updates per object, with the same
 // exact-at-quiesce accounting.
