@@ -15,12 +15,12 @@ import (
 
 // Concurrent chaos phase: workers hammer a shared region tree while
 // failpoints perturb and fail every instrumented lifecycle edge, a
-// ZombieWatchdog (chained over a RingTracer) patrols for stuck
-// zombies, and an audit sampler exercises Arena.Audit against the live
-// arena. There is no reference model here — interleavings are not
-// reproducible — so correctness is judged by the invariants that
-// survive any interleaving: tolerated error classes only, exact
-// accounting after quiesce, and a clean audit.
+// ZombieWatchdog patrols for stuck zombies beside a RingTracer, and an
+// audit sampler exercises Arena.Audit against the live arena. There is
+// no reference model here — interleavings are not reproducible — so
+// correctness is judged by the invariants that survive any
+// interleaving: tolerated error classes only, exact accounting after
+// quiesce, and a clean audit.
 
 // ConcRules arms the sites with an interleaving-perturbation mix when
 // perturb is true (yields and delays inside the race windows), or an
@@ -249,12 +249,11 @@ func clearRef(holder *rcgo.Obj[node]) error {
 // exactly once.
 func RunConc(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena(rcgo.WithAdvisor())
+	ring := rcgo.NewRingTracer(1 << 14)
+	a := rcgo.NewArena(rcgo.WithAdvisor(), rcgo.WithTracer(ring))
 	a.EnableMetrics()
 	var adv advisorCounts
-	ring := rcgo.NewRingTracer(1 << 14)
-	wd := rcgo.NewZombieWatchdog(a, 2*time.Millisecond, ring)
-	a.SetTracer(wd)
+	wd := rcgo.NewZombieWatchdog(a, 2*time.Millisecond)
 	wd.Start(5 * time.Millisecond)
 	defer wd.Stop()
 
@@ -964,12 +963,11 @@ func RunOwnership(cfg ConcConfig) (ConcResult, error) {
 // counter must match that committed tally exactly.
 func RunContention(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena()
-	a.EnableMetrics()
 	ring := rcgo.NewRingTracer(1 << 14)
-	wd := rcgo.NewOwnerWatchdog(a, 2*time.Millisecond, ring)
+	a := rcgo.NewArena(rcgo.WithTracer(ring))
+	a.EnableMetrics()
+	wd := rcgo.NewOwnerWatchdog(a, 2*time.Millisecond)
 	wd.ForceReleaseAfter = 5 * time.Millisecond
-	a.SetTracer(wd)
 	wd.Start(time.Millisecond)
 	defer wd.Stop()
 

@@ -449,10 +449,8 @@ func TestRevokeOwnerExpectGuard(t *testing.T) {
 // and hands the region to the parked waiter.
 func TestOwnerWatchdogFlagsAndRevokes(t *testing.T) {
 	a := NewArena(WithMetrics())
-	wd := NewOwnerWatchdog(a, time.Hour, nil)
+	wd := NewOwnerWatchdog(a, time.Hour)
 	wd.ForceReleaseAfter = 3 * time.Hour
-	a.SetTracer(wd)
-	defer a.SetTracer(nil)
 	clock := time.Now()
 	wd.now = func() time.Time { return clock }
 
@@ -529,14 +527,12 @@ func TestOwnerWatchdogFlagsAndRevokes(t *testing.T) {
 	}
 }
 
-// The watchdog's pending notebook follows releases: a legitimately
-// released region is forgotten, a released-and-reacquired region starts
-// a fresh clock, and Start/Stop run the revocation loop end to end.
+// The watchdog follows releases: a legitimately released region is
+// not flagged, a released-and-reacquired region starts a fresh clock,
+// and Start/Stop run the revocation loop end to end.
 func TestOwnerWatchdogFollowsReleases(t *testing.T) {
 	a := NewArena()
-	wd := NewOwnerWatchdog(a, time.Hour, nil)
-	a.SetTracer(wd)
-	defer a.SetTracer(nil)
+	wd := NewOwnerWatchdog(a, time.Hour)
 	clock := time.Now()
 	wd.now = func() time.Time { return clock }
 
@@ -557,6 +553,7 @@ func TestOwnerWatchdogFollowsReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock = r.since
 	if stale := wd.Check(); stale != nil {
 		t.Fatalf("flagged a fresh reacquisition: %+v", stale)
 	}
@@ -568,9 +565,8 @@ func TestOwnerWatchdogFollowsReleases(t *testing.T) {
 	}
 
 	// Start/Stop: a wedged owner is revoked by the background loop.
-	wd2 := NewOwnerWatchdog(a, time.Millisecond, nil)
+	wd2 := NewOwnerWatchdog(a, time.Millisecond)
 	wd2.ForceReleaseAfter = 2 * time.Millisecond
-	a.SetTracer(wd2)
 	r2 := a.NewRegion()
 	if _, err := r2.TryAcquire(); err != nil { // wedged: token abandoned
 		t.Fatal(err)
@@ -590,6 +586,53 @@ func TestOwnerWatchdogFollowsReleases(t *testing.T) {
 		t.Fatal("region still owned after background revocation")
 	}
 	if err := r2.Delete(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A release racing a re-acquire never hides the new holder. An
+// uncontended Release traces its released event after unlocking, so a
+// TryAcquire spinning on another goroutine can take the region and
+// trace acquired first. That order must not matter: the re-acquired
+// token is flagged every round.
+func TestOwnerWatchdogSeesHolderAfterReleaseRace(t *testing.T) {
+	a := NewArena()
+	wd := NewOwnerWatchdog(a, time.Hour)
+	var skew time.Duration // jumps past the threshold only for Check
+	wd.now = func() time.Time { return time.Now().Add(skew) }
+	r := a.NewRegion()
+	own := r.Acquire()
+	for i := 0; i < 20000; i++ {
+		spinning := make(chan struct{})
+		next := make(chan *Owner, 1)
+		go func() {
+			for first := true; ; first = false {
+				o, err := r.TryAcquire()
+				if err == nil {
+					next <- o
+					return
+				}
+				if first {
+					close(spinning)
+				}
+			}
+		}()
+		<-spinning
+		if err := own.Release(); err != nil {
+			t.Fatal(err)
+		}
+		own = <-next
+		skew = 2 * time.Hour
+		stale := wd.Check()
+		skew = 0
+		if len(stale) != 1 || stale[0].ID != r.ID() {
+			t.Fatalf("round %d: Check = %+v, want the re-acquired region %d", i, stale, r.ID())
+		}
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -88,6 +88,12 @@ type Arena struct {
 	instr  instruments
 	tracer atomic.Pointer[tracerBox]
 
+	// recordAcquireSites is set, never cleared, by NewOwnerWatchdog:
+	// from then on every acquire records its call site for stale-owner
+	// reports and the /owners inspector. Without a watchdog the
+	// runtime.Callers walk is skipped.
+	recordAcquireSites atomic.Bool
+
 	// allocSlow disables the allocation fast path (region_alloccache.go)
 	// for the arena's regions: WithAllocCache(false), the A/B ablation
 	// knob. Fixed at construction and copied into every region, so the
@@ -165,13 +171,17 @@ type Region struct {
 	// (region_owner.go); guarded by mu, and non-empty only while the
 	// region is stateOwned — hand-off pops the head, cancellation
 	// splices out the quitter, Owner.Delete fails the whole queue.
-	// acquiredAt/acquirePC/acquirePCN (also mu-guarded) record when and
-	// where the current token was minted, for the OwnerWatchdog's
-	// stale-owner reports and the /owners inspector.
+	// acquirePC/acquirePCN (also mu-guarded) record where the current
+	// token was minted, when the arena records acquire sites, for the
+	// OwnerWatchdog's stale-owner reports and the /owners inspector.
 	waitq      []*acquireWaiter
-	acquiredAt time.Time
 	acquirePC  [acquirePCDepth]uintptr
 	acquirePCN int
+	// since (mu-guarded) is when the region entered its current owned or
+	// zombie state — a region is never both — set by the acquire or
+	// hand-off that minted the current token, or by DeleteDeferred's
+	// zombie transition. The watchdogs age regions by it.
+	since time.Time
 	// contendedWaits counts waiters ever parked on this region
 	// (cumulative, monotone), read lock-free by the /owners
 	// top-contended table.
@@ -630,6 +640,7 @@ func (r *Region) DeleteDeferred() {
 		return
 	}
 	r.state.Store(stateZombie)
+	r.since = time.Now()
 	r.shard.liveRegions.Add(-1)
 	r.shard.deferredRegions.Add(1)
 	r.mu.Unlock()

@@ -281,6 +281,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 // waiter gauge and the top-contended table.
 func TestDebugHandlerOwners(t *testing.T) {
 	a := NewArena()
+	NewOwnerWatchdog(a, time.Hour) // the arena records acquire sites from here on
 	r := a.NewRegion()
 	own, err := r.TryAcquire()
 	if err != nil {

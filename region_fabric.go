@@ -133,9 +133,9 @@ func WithMetrics() Option {
 
 // WithTracer installs t as the arena's lifecycle tracer from birth; the
 // traditional region's creation is the first event delivered. A tracer
-// that needs the arena handle to construct (such as a ZombieWatchdog
-// chain) cannot exist before NewArena returns; install it afterwards
-// with SetTracer, which remains supported for exactly that pattern.
+// that needs the arena handle to construct cannot exist before NewArena
+// returns; install it afterwards with SetTracer, which remains supported
+// for exactly that pattern.
 func WithTracer(t Tracer) Option {
 	return func(c *arenaConfig) { c.tracer = t }
 }

@@ -289,10 +289,12 @@ func (r *Region) acquireLocked() (*Owner, error) {
 	r.owner.Store(o)
 	r.state.Store(stateOwned)
 	r.shard.ownedRegions.Add(1)
-	r.acquiredAt = time.Now()
-	// Skip runtime.Callers, acquireLocked and its Try/AcquireContext
-	// wrapper: the first recorded frame is the acquiring caller.
-	r.acquirePCN = runtime.Callers(3, r.acquirePC[:])
+	r.since = time.Now()
+	if r.arena.recordAcquireSites.Load() {
+		// Skip runtime.Callers, acquireLocked and its Try/AcquireContext
+		// wrapper: the first recorded frame is the acquiring caller.
+		r.acquirePCN = runtime.Callers(3, r.acquirePC[:])
+	}
 	return o, nil
 }
 
@@ -344,7 +346,9 @@ func (r *Region) AcquireContext(ctx context.Context) (*Owner, error) {
 	// owned transition holds, so a waiter can never be appended to an
 	// unowned or dead region (the audit's waiters-on-unowned rule).
 	w := &acquireWaiter{ready: make(chan handoff, 1)}
-	w.npc = runtime.Callers(2, w.pcs[:])
+	if r.arena.recordAcquireSites.Load() {
+		w.npc = runtime.Callers(2, w.pcs[:])
+	}
 	r.waitq = append(r.waitq, w)
 	r.shard.acquireWaiters.Add(1)
 	r.mu.Unlock()
@@ -493,7 +497,7 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 		r.shard.acquireWaiters.Add(-1)
 		next = &Owner{r: r}
 		r.owner.Store(next)
-		r.acquiredAt = time.Now()
+		r.since = time.Now()
 		r.acquirePC = w.pcs
 		r.acquirePCN = w.npc
 		return w, next
@@ -702,7 +706,7 @@ func (r *Region) ownerInfo() (held bool, o *Owner, since time.Time, site string,
 		return false, nil, time.Time{}, "", 0
 	}
 	o = r.owner.Load()
-	since = r.acquiredAt
+	since = r.since
 	pcs := r.acquirePC
 	npc := r.acquirePCN
 	depth = len(r.waitq)

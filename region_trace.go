@@ -22,9 +22,12 @@ import (
 //
 // Events are emitted after the region's lifecycle mutex is released, so
 // a Tracer implementation may safely call back into the runtime (Stats,
-// Hierarchy, ...). The ordering of events from concurrent goroutines is
-// the runtime's linearization order per region, but events of different
-// regions may be observed interleaved in any order consistent with it.
+// Hierarchy, ...). The price is ordering: two goroutines' events for
+// one region can reach the tracer in the opposite order of their
+// transitions — an uncontended Owner.Release traces its released event
+// after unlocking, so a TryAcquire racing into that gap can trace
+// acquired first. The trace stream is a log, not the region's state;
+// read the state from the region (Stats, Owners, the watchdogs).
 
 // TraceKind identifies a region lifecycle event.
 type TraceKind int32
@@ -177,7 +180,8 @@ type TraceEvent struct {
 
 // Tracer observes region lifecycle events. Implementations must be safe
 // for concurrent use: events are delivered from whatever goroutine
-// performed the transition, with no ordering guarantee across regions.
+// performed the transition, with no ordering guarantee across
+// goroutines (see the file comment).
 type Tracer interface {
 	Trace(ev TraceEvent)
 }
@@ -197,8 +201,8 @@ func (NopTracer) Trace(TraceEvent) {}
 // Prefer WithTracer at construction when the tracer exists before the
 // arena does — it then sees every event from the traditional region's
 // creation on. SetTracer remains fully supported (not deprecated) for
-// tracers that need the arena handle to construct, such as a
-// ZombieWatchdog chain, and for swapping tracers mid-life.
+// tracers that need the arena handle to construct, and for swapping
+// tracers mid-life.
 func (a *Arena) SetTracer(t Tracer) {
 	if t == nil {
 		a.tracer.Store(nil)
@@ -311,44 +315,25 @@ func (t *RingTracer) TraceStats() TraceStats {
 	}
 }
 
-// traceStats walks the installed tracer chain (unwrapping wrappers like
-// ZombieWatchdog) to the first tracer that exposes ring statistics.
+// traceStats returns the installed tracer's ring statistics, if it
+// exposes any.
 func (a *Arena) traceStats() (TraceStats, bool) {
-	b := a.tracer.Load()
-	if b == nil {
-		return TraceStats{}, false
-	}
-	for t := b.t; t != nil; {
-		if ts, ok := t.(interface{ TraceStats() TraceStats }); ok {
+	if b := a.tracer.Load(); b != nil {
+		if ts, ok := b.t.(interface{ TraceStats() TraceStats }); ok {
 			return ts.TraceStats(), true
 		}
-		u, ok := t.(interface{ Unwrap() Tracer })
-		if !ok {
-			break
-		}
-		t = u.Unwrap()
 	}
 	return TraceStats{}, false
 }
 
-// traceEvents walks the installed tracer chain (unwrapping wrappers
-// like ZombieWatchdog) to the first tracer that exposes its buffered
-// events — a RingTracer, or anything else with an Events method — for
-// the debug inspector's /trace endpoint.
+// traceEvents returns the installed tracer's buffered events — a
+// RingTracer's, or anything else with an Events method — for the debug
+// inspector's /trace endpoint.
 func (a *Arena) traceEvents() ([]TraceEvent, bool) {
-	b := a.tracer.Load()
-	if b == nil {
-		return nil, false
-	}
-	for t := b.t; t != nil; {
-		if ev, ok := t.(interface{ Events() []TraceEvent }); ok {
+	if b := a.tracer.Load(); b != nil {
+		if ev, ok := b.t.(interface{ Events() []TraceEvent }); ok {
 			return ev.Events(), true
 		}
-		u, ok := t.(interface{ Unwrap() Tracer })
-		if !ok {
-			break
-		}
-		t = u.Unwrap()
 	}
 	return nil, false
 }

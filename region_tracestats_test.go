@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Ring wrap-around is observable: Dropped counts exactly the events
@@ -53,14 +52,11 @@ func TestRingTracerDropCount(t *testing.T) {
 }
 
 // The drop count surfaces through every monitoring channel — the
-// DebugHandler index and /counters JSON, and PublishExpvar — including
-// when the RingTracer sits underneath a chained ZombieWatchdog
-// (discovered via Unwrap).
+// DebugHandler index and /counters JSON, and PublishExpvar.
 func TestTraceStatsSurfaceInDebugAndExpvar(t *testing.T) {
 	a := NewArena()
 	ring := NewRingTracer(4)
-	wd := NewZombieWatchdog(a, time.Hour, ring)
-	a.SetTracer(wd)
+	a.SetTracer(ring)
 	defer a.SetTracer(nil)
 
 	for i := 0; i < 8; i++ {
@@ -95,7 +91,7 @@ func TestTraceStatsSurfaceInDebugAndExpvar(t *testing.T) {
 		t.Fatal(err)
 	}
 	if doc.Trace == nil || doc.Trace.Dropped == 0 {
-		t.Fatalf("/counters trace = %+v, want nonzero drops through the watchdog chain", doc.Trace)
+		t.Fatalf("/counters trace = %+v, want nonzero drops", doc.Trace)
 	}
 
 	const name = "rcgo.test.tracestats"

@@ -17,9 +17,10 @@ import (
 // gone needs a retry policy, and an operator needs to know when a
 // deferred-deleted region is never going to drain. This file provides
 // both: DeleteWithRetry (bounded, jittered exponential backoff under a
-// context) and ZombieWatchdog (tracer-driven detection of zombies older
-// than a threshold, named with the holders that pin them, healing lost
-// drain wakeups along the way).
+// context) and ZombieWatchdog (a registry patrol that flags zombies
+// older than a threshold, named with the holders that pin them, healing
+// lost drain wakeups along the way). OwnerWatchdog, the same patrol over
+// owned regions, lives here too.
 
 // Backoff configures DeleteWithRetry's jittered exponential backoff.
 // The zero value is usable: 1ms initial, 100ms cap, doubling, half the
@@ -141,12 +142,55 @@ type StuckZombie struct {
 	Holders []BlockedHolder `json:"holders,omitempty"`
 }
 
+// patrol is the background loop both watchdogs embed: Start runs check
+// every interval until Stop.
+type patrol struct {
+	check func()
+
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
+}
+
+// Start runs Check every interval on a background goroutine until
+// Stop. Start may be called at most once.
+func (p *patrol) Start(interval time.Duration) {
+	if p.stop != nil {
+		panic("rcgo: watchdog Start called twice")
+	}
+	p.stop = make(chan struct{})
+	p.done = make(chan struct{})
+	go func() {
+		defer close(p.done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-p.stop:
+				return
+			case <-t.C:
+				p.check()
+			}
+		}
+	}()
+}
+
+// Stop halts the background checker and waits for it to exit. No-op if
+// Start was never called; safe to call more than once.
+func (p *patrol) Stop() {
+	if p.stop == nil {
+		return
+	}
+	p.stopOnce.Do(func() { close(p.stop) })
+	<-p.done
+}
+
 // ZombieWatchdog flags deferred-deleted regions that fail to reclaim
-// within a threshold. It is a Tracer: install it with Arena.SetTracer
-// (chaining any previous tracer through next) and it learns zombie
-// birth and reclaim times from the TraceRegionDeferred /
-// TraceRegionReclaimed events. Each Check (called directly, or
-// periodically after Start):
+// within a threshold. It reads each zombie's state from the region
+// itself — the time it became a zombie (Region.since) and its counts,
+// under the region's mutex — so it needs no tracer and sees every
+// zombie, however the trace stream interleaves. Each Check (called
+// directly, or periodically after Start):
 //
 //  1. heals lost drain wakeups — a zombie past the threshold that is
 //     already drained (rc 0, no subregions) is reclaimed on the spot,
@@ -155,127 +199,78 @@ type StuckZombie struct {
 //     naming the pinning holder regions via the blocked-deleters scan,
 //     and delivers each report to the OnStuck callback (if set).
 type ZombieWatchdog struct {
+	patrol
 	arena     *Arena
-	next      Tracer
 	threshold time.Duration
 
 	// OnStuck, if non-nil, receives every flagged zombie, once per
-	// Check that finds it still stuck. Set before installing the
-	// watchdog as a tracer.
+	// Check that finds it still stuck. Set before Start.
 	OnStuck func(StuckZombie)
 
 	// now is the clock, injectable in tests.
 	now func() time.Time
 
-	mu      sync.Mutex
-	pending map[int64]time.Time // zombie id -> when it was deferred
-
 	flagged atomic.Int64
 	healed  atomic.Int64
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewZombieWatchdog creates a watchdog for a with the given age
-// threshold. next, if non-nil, receives every trace event after the
-// watchdog has seen it, so a RingTracer keeps working underneath:
-//
-//	ring := rcgo.NewRingTracer(1024)
-//	w := rcgo.NewZombieWatchdog(arena, time.Second, ring)
-//	arena.SetTracer(w)
-func NewZombieWatchdog(a *Arena, threshold time.Duration, next Tracer) *ZombieWatchdog {
-	return &ZombieWatchdog{
-		arena:     a,
-		next:      next,
-		threshold: threshold,
-		now:       time.Now,
-		pending:   make(map[int64]time.Time),
-	}
+// threshold. It patrols the arena's region registry; a tracer, if one
+// is wanted, is installed on the arena independently.
+func NewZombieWatchdog(a *Arena, threshold time.Duration) *ZombieWatchdog {
+	w := &ZombieWatchdog{arena: a, threshold: threshold, now: time.Now}
+	w.check = func() { w.Check() }
+	return w
 }
-
-// Trace implements Tracer: zombie births and reclaims update the
-// pending set; every event is forwarded to the chained tracer.
-func (w *ZombieWatchdog) Trace(ev TraceEvent) {
-	switch ev.Kind {
-	case TraceRegionDeferred:
-		w.mu.Lock()
-		w.pending[ev.Region] = w.now()
-		w.mu.Unlock()
-	case TraceRegionReclaimed:
-		w.mu.Lock()
-		delete(w.pending, ev.Region)
-		w.mu.Unlock()
-	}
-	if w.next != nil {
-		w.next.Trace(ev)
-	}
-}
-
-// Unwrap returns the chained tracer, so inspectors (DebugHandler's
-// trace stats) can reach a RingTracer underneath the watchdog.
-func (w *ZombieWatchdog) Unwrap() Tracer { return w.next }
 
 // Check runs one watchdog pass and returns the zombies flagged as
 // stuck, sorted by id. See the type comment for what one pass does.
 func (w *ZombieWatchdog) Check() []StuckZombie {
 	now := w.now()
-	w.mu.Lock()
-	var due []int64
-	for id, since := range w.pending {
-		if now.Sub(since) >= w.threshold {
-			due = append(due, id)
-		}
-	}
-	w.mu.Unlock()
-	if len(due) == 0 {
-		return nil
-	}
-
-	// The blocked-deleters scan names the holders; index it by zombie.
-	blocked := make(map[int64]BlockedRegion)
-	for _, br := range w.arena.BlockedDeleters() {
-		blocked[br.ID] = br
-	}
-
 	var stuck []StuckZombie
-	for _, id := range due {
-		r := w.arena.findRegion(id)
-		if r == nil {
-			// Reclaimed between the event and this pass; the reclaim
-			// event will (or did) clear pending.
-			w.forget(id)
-			continue
+	var blocked map[int64]BlockedRegion
+	w.arena.EachRegion(func(r *Region) {
+		if r.state.Load() != stateZombie {
+			return
+		}
+		r.mu.Lock()
+		zombie, since := r.state.Load() == stateZombie, r.since
+		r.mu.Unlock()
+		if !zombie || now.Sub(since) < w.threshold {
+			return
 		}
 		st := r.Stats()
-		if !st.Deferred {
-			w.forget(id)
-			continue
-		}
 		if st.RC == 0 && st.Subregions == 0 {
 			// Drained but unreclaimed: a lost wakeup. Heal, don't flag.
 			if r.drain(true) {
 				w.healed.Add(1)
-				w.forget(id)
-				continue
+				return
 			}
-			// Lost the race with a pin/drain; re-read below.
+			// Lost the race with a pin or another drain; re-read.
 			st = r.Stats()
-			if !st.Deferred {
-				w.forget(id)
-				continue
+		}
+		if !st.Deferred {
+			return
+		}
+		if blocked == nil {
+			// The blocked-deleters scan names the holders; index it by
+			// zombie, once per pass and only when a pinned zombie is due.
+			blocked = make(map[int64]BlockedRegion)
+			for _, br := range w.arena.BlockedDeleters() {
+				blocked[br.ID] = br
 			}
 		}
-		sz := StuckZombie{
-			ID:         id,
-			Age:        now.Sub(w.since(id)),
+		stuck = append(stuck, StuckZombie{
+			ID:         r.id,
+			Age:        now.Sub(since),
 			RC:         st.RC,
 			Pins:       st.Pins,
 			Subregions: st.Subregions,
-			Holders:    blocked[id].Holders,
-		}
-		stuck = append(stuck, sz)
+			Holders:    blocked[r.id].Holders,
+		})
+	})
+	sort.Slice(stuck, func(i, j int) bool { return stuck[i].ID < stuck[j].ID })
+	for _, sz := range stuck {
 		w.flagged.Add(1)
 		if w.OnStuck != nil {
 			w.OnStuck(sz)
@@ -284,57 +279,12 @@ func (w *ZombieWatchdog) Check() []StuckZombie {
 	return stuck
 }
 
-func (w *ZombieWatchdog) forget(id int64) {
-	w.mu.Lock()
-	delete(w.pending, id)
-	w.mu.Unlock()
-}
-
-func (w *ZombieWatchdog) since(id int64) time.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pending[id]
-}
-
 // Flagged returns the cumulative number of stuck-zombie reports made.
 func (w *ZombieWatchdog) Flagged() int64 { return w.flagged.Load() }
 
 // Healed returns the cumulative number of lost drain wakeups the
 // watchdog repaired (zombies it reclaimed itself).
 func (w *ZombieWatchdog) Healed() int64 { return w.healed.Load() }
-
-// Start runs Check every interval on a background goroutine until
-// Stop. Start may be called at most once.
-func (w *ZombieWatchdog) Start(interval time.Duration) {
-	if w.stop != nil {
-		panic("rcgo: ZombieWatchdog.Start called twice")
-	}
-	w.stop = make(chan struct{})
-	w.done = make(chan struct{})
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				w.Check()
-			}
-		}
-	}()
-}
-
-// Stop halts the background checker and waits for it to exit. No-op if
-// Start was never called; safe to call more than once.
-func (w *ZombieWatchdog) Stop() {
-	if w.stop == nil {
-		return
-	}
-	w.stopOnce.Do(func() { close(w.stop) })
-	<-w.done
-}
 
 // StaleOwner describes one region held through an Owner token longer
 // than the owner watchdog's threshold, with the evidence an operator
@@ -350,7 +300,8 @@ type StaleOwner struct {
 	// AcquireSite is the "file:line (func)" of the call that minted the
 	// current token — the TryAcquire/Acquire caller, or the parked
 	// AcquireContext waiter the token was handed to. Empty if no frames
-	// were captured.
+	// were captured (the token was minted before any OwnerWatchdog
+	// existed on the arena).
 	AcquireSite string `json:"acquire_site,omitempty"`
 	// QueueDepth is the number of waiters parked behind the stale owner
 	// at flag time.
@@ -365,150 +316,84 @@ type StaleOwner struct {
 // threshold — the ownership analogue of ZombieWatchdog, for the failure
 // mode where a goroutine acquires a region and then stalls or crashes
 // without releasing, wedging every parked AcquireContext waiter behind
-// it. It is a Tracer: install it with Arena.SetTracer (chaining any
-// previous tracer through next) and it learns acquire and release times
-// from the TraceRegionAcquired / TraceRegionReleased /
-// TraceOwnerRevoked events. Each Check (called directly, or
-// periodically after Start):
+// it. Like ZombieWatchdog it reads the region itself: each owned
+// region's current token, acquire time (Region.since), acquire site and
+// queue depth, sampled under the region's mutex. Each Check (called
+// directly, or periodically after Start):
 //
-//  1. verifies against the region's own acquire timestamp — a region
-//     whose token was handed onward since the trace event is younger
-//     than the watchdog's notebook says and is skipped, not flagged;
-//  2. flags every region owned past the threshold, reporting the
-//     holder's acquire site and the current queue depth to the OnStale
-//     callback (if set);
-//  3. optionally, when ForceReleaseAfter is set and exceeded, revokes
-//     the stale token (Region.revokeOwner): the token fails every
-//     subsequent operation with ErrOwnerRevoked, its unflushed deltas
-//     are discarded, and the region is handed to the next waiter or
-//     returned to the shared state. The escape hatch is off by default
-//     — revocation tears a token out of a possibly-running goroutine's
-//     hands and is only safe when the owner is known to be wedged.
+//  1. flags every region whose current token is older than the
+//     threshold, reporting the holder's acquire site and the current
+//     queue depth to the OnStale callback (if set) — a hand-off
+//     re-mints the token and restarts its age;
+//  2. optionally, when ForceReleaseAfter is set and exceeded, revokes
+//     the stale token (Region.revokeOwner, guarded by the sampled
+//     token, so a token released since the sample is left alone): the
+//     token fails every subsequent operation with ErrOwnerRevoked, its
+//     unflushed deltas are discarded, and the region is handed to the
+//     next waiter or returned to the shared state. The escape hatch is
+//     off by default — revocation tears a token out of a
+//     possibly-running goroutine's hands and is only safe when the
+//     owner is known to be wedged.
+//
+// Creating an OwnerWatchdog switches the arena to recording every
+// acquire's call site (for AcquireSite and the /owners inspector); an
+// arena that never has one skips that runtime.Callers cost.
 type OwnerWatchdog struct {
+	patrol
 	arena     *Arena
-	next      Tracer
 	threshold time.Duration
 
 	// ForceReleaseAfter, when positive, is the held-age beyond which a
 	// Check forcibly revokes the stale token. Zero disables forced
-	// release (detection only). Set before installing the watchdog.
+	// release (detection only). Set before Start.
 	ForceReleaseAfter time.Duration
 
 	// OnStale, if non-nil, receives every flagged stale owner, once per
-	// Check that finds it still held. Set before installing the
-	// watchdog as a tracer.
+	// Check that finds it still held. Set before Start.
 	OnStale func(StaleOwner)
 
 	// now is the clock, injectable in tests.
 	now func() time.Time
 
-	mu      sync.Mutex
-	pending map[int64]time.Time // owned region id -> when acquired
-
 	flagged atomic.Int64
 	revoked atomic.Int64
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewOwnerWatchdog creates an owner watchdog for a with the given
-// held-age threshold. next, if non-nil, receives every trace event
-// after the watchdog has seen it, so it chains with a RingTracer or a
-// ZombieWatchdog:
-//
-//	ring := rcgo.NewRingTracer(1024)
-//	w := rcgo.NewOwnerWatchdog(arena, time.Second, ring)
-//	arena.SetTracer(w)
-func NewOwnerWatchdog(a *Arena, threshold time.Duration, next Tracer) *OwnerWatchdog {
-	return &OwnerWatchdog{
-		arena:     a,
-		next:      next,
-		threshold: threshold,
-		now:       time.Now,
-		pending:   make(map[int64]time.Time),
-	}
+// held-age threshold, and from then on the arena records acquire
+// sites. It patrols the arena's region registry; a tracer, if one is
+// wanted, is installed on the arena independently.
+func NewOwnerWatchdog(a *Arena, threshold time.Duration) *OwnerWatchdog {
+	a.recordAcquireSites.Store(true)
+	w := &OwnerWatchdog{arena: a, threshold: threshold, now: time.Now}
+	w.check = func() { w.Check() }
+	return w
 }
-
-// Trace implements Tracer: acquires start the clock on a region,
-// releases and revocations clear it; every event is forwarded to the
-// chained tracer. The hand-off protocol orders a released event before
-// the successor's acquired event (the release is sequenced before the
-// channel send that wakes the waiter), so the pending map never drops
-// an update from out-of-order delivery of one region's events.
-func (w *OwnerWatchdog) Trace(ev TraceEvent) {
-	switch ev.Kind {
-	case TraceRegionAcquired:
-		w.mu.Lock()
-		w.pending[ev.Region] = w.now()
-		w.mu.Unlock()
-	case TraceRegionReleased, TraceOwnerRevoked:
-		w.mu.Lock()
-		delete(w.pending, ev.Region)
-		w.mu.Unlock()
-	}
-	if w.next != nil {
-		w.next.Trace(ev)
-	}
-}
-
-// Unwrap returns the chained tracer, so inspectors (DebugHandler's
-// trace stats) can reach a RingTracer underneath the watchdog.
-func (w *OwnerWatchdog) Unwrap() Tracer { return w.next }
 
 // Check runs one watchdog pass and returns the regions flagged as
 // stalely owned, sorted by id. See the type comment for what one pass
 // does.
 func (w *OwnerWatchdog) Check() []StaleOwner {
 	now := w.now()
-	w.mu.Lock()
-	var due []int64
-	for id, since := range w.pending {
-		if now.Sub(since) >= w.threshold {
-			due = append(due, id)
-		}
-	}
-	w.mu.Unlock()
-	if len(due) == 0 {
-		return nil
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-
 	var stale []StaleOwner
-	for _, id := range due {
-		r := w.arena.findRegion(id)
-		if r == nil {
-			// Released and reclaimed between the event and this pass.
-			w.forget(id)
-			continue
+	w.arena.EachRegion(func(r *Region) {
+		if r.state.Load() != stateOwned {
+			return
 		}
 		held, owner, since, site, depth := r.ownerInfo()
-		if !held {
-			// Released since; the released event will (or did) clear
-			// pending.
-			w.forget(id)
-			continue
-		}
-		// The region's own timestamp is authoritative: a hand-off since
-		// the traced acquire re-minted the token, and the new holder gets
-		// its own full threshold. Update the notebook, don't flag.
 		age := now.Sub(since)
-		if age < w.threshold {
-			w.mu.Lock()
-			w.pending[id] = since
-			w.mu.Unlock()
-			continue
+		if !held || age < w.threshold {
+			return
 		}
-		so := StaleOwner{ID: id, Age: age, AcquireSite: site, QueueDepth: depth}
-		if w.ForceReleaseAfter > 0 && age >= w.ForceReleaseAfter {
-			if r.revokeOwner(owner) {
-				so.Revoked = true
-				w.revoked.Add(1)
-				w.forget(id)
-			}
+		so := StaleOwner{ID: r.id, Age: age, AcquireSite: site, QueueDepth: depth}
+		if w.ForceReleaseAfter > 0 && age >= w.ForceReleaseAfter && r.revokeOwner(owner) {
+			so.Revoked = true
+			w.revoked.Add(1)
 		}
 		stale = append(stale, so)
+	})
+	sort.Slice(stale, func(i, j int) bool { return stale[i].ID < stale[j].ID })
+	for _, so := range stale {
 		w.flagged.Add(1)
 		if w.OnStale != nil {
 			w.OnStale(so)
@@ -517,48 +402,9 @@ func (w *OwnerWatchdog) Check() []StaleOwner {
 	return stale
 }
 
-func (w *OwnerWatchdog) forget(id int64) {
-	w.mu.Lock()
-	delete(w.pending, id)
-	w.mu.Unlock()
-}
-
 // Flagged returns the cumulative number of stale-owner reports made.
 func (w *OwnerWatchdog) Flagged() int64 { return w.flagged.Load() }
 
 // Revoked returns the cumulative number of stale tokens the watchdog
 // forcibly revoked.
 func (w *OwnerWatchdog) Revoked() int64 { return w.revoked.Load() }
-
-// Start runs Check every interval on a background goroutine until
-// Stop. Start may be called at most once.
-func (w *OwnerWatchdog) Start(interval time.Duration) {
-	if w.stop != nil {
-		panic("rcgo: OwnerWatchdog.Start called twice")
-	}
-	w.stop = make(chan struct{})
-	w.done = make(chan struct{})
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				w.Check()
-			}
-		}
-	}()
-}
-
-// Stop halts the background checker and waits for it to exit. No-op if
-// Start was never called; safe to call more than once.
-func (w *OwnerWatchdog) Stop() {
-	if w.stop == nil {
-		return
-	}
-	w.stopOnce.Do(func() { close(w.stop) })
-	<-w.done
-}

@@ -87,14 +87,11 @@ func TestDeleteWithRetryRetriesInjectedFailures(t *testing.T) {
 }
 
 // An aged, genuinely pinned zombie is flagged with its pinning holders
-// named; reclaiming it clears the pending set.
+// named; once it is reclaimed the watchdog no longer sees it.
 func TestWatchdogFlagsStuckZombie(t *testing.T) {
 	a := NewArena()
-	ring := NewRingTracer(64)
-	w := NewZombieWatchdog(a, time.Hour, ring)
-	a.SetTracer(w)
-	defer a.SetTracer(nil)
-	clock := time.Unix(1000, 0)
+	w := NewZombieWatchdog(a, time.Hour)
+	var clock time.Time
 	w.now = func() time.Time { return clock }
 
 	holder := Alloc[auditNode](a.NewRegion())
@@ -104,6 +101,7 @@ func TestWatchdogFlagsStuckZombie(t *testing.T) {
 		t.Fatal(err)
 	}
 	target.DeleteDeferred()
+	clock = target.since // the clock starts when the region became a zombie
 
 	if stuck := w.Check(); stuck != nil {
 		t.Fatalf("zombie flagged before the threshold: %+v", stuck)
@@ -128,8 +126,8 @@ func TestWatchdogFlagsStuckZombie(t *testing.T) {
 		t.Errorf("Flagged = %d, want 1", w.Flagged())
 	}
 
-	// Clearing the reference reclaims the zombie; the reclaim event
-	// empties the pending set and the next Check is quiet.
+	// Clearing the reference reclaims the zombie; the next Check is
+	// quiet.
 	if err := SetRef(holder, &holder.Value.Next, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +141,8 @@ func TestWatchdogFlagsStuckZombie(t *testing.T) {
 func TestWatchdogHealsLostDrain(t *testing.T) {
 	defer failpoint.DisableAll()
 	a := NewArena()
-	w := NewZombieWatchdog(a, time.Hour, nil)
-	a.SetTracer(w)
-	defer a.SetTracer(nil)
-	clock := time.Unix(1000, 0)
+	w := NewZombieWatchdog(a, time.Hour)
+	clock := time.Now()
 	w.now = func() time.Time { return clock }
 
 	r := a.NewRegion()
@@ -179,9 +175,7 @@ func TestWatchdogHealsLostDrain(t *testing.T) {
 func TestWatchdogStartStop(t *testing.T) {
 	defer failpoint.DisableAll()
 	a := NewArena()
-	w := NewZombieWatchdog(a, time.Millisecond, nil)
-	a.SetTracer(w)
-	defer a.SetTracer(nil)
+	w := NewZombieWatchdog(a, time.Millisecond)
 
 	r := a.NewRegion()
 	unpin := Pin(Alloc[auditNode](r))
