@@ -75,13 +75,13 @@ advise-smoke:
 	$(GO) run rcgo/cmd/rcbench -advise -advise-allocs 2000
 
 # A/B harness end-to-end gate: every A/B scenario for one round
-# (internal/exp/ab.go: the alloc cache, the fabric, the advisor gate,
-# ownership, blocking acquisition and off-heap slabs, including the
-# live-GC cell) piped through benchlint; the pipeline hand-off example;
-# the contention and slab chaos phases alone under the race detector
-# with the own.handoff and slab.map failpoints armed (the slab phase
-# fails on any leaked page); and a 100-iteration spin of the parallel
-# Alloc benchmark pairs. One round proves the machinery, not a speedup:
+# (internal/exp/ab.go: the fabric, the advisor gate, ownership,
+# blocking acquisition and off-heap slabs, including the live-GC cell)
+# piped through benchlint; the pipeline hand-off example; the
+# contention and slab chaos phases alone under the race detector with
+# the own.handoff and slab.map failpoints armed (the slab phase fails
+# on any leaked page); and a 100-iteration spin of the parallel Alloc
+# benchmarks. One round proves the machinery, not a speedup:
 # BENCH_pr13_ab.json records the real 10-round run.
 ab-smoke:
 	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -ab all | $(GO) run rcgo/cmd/benchlint

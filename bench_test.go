@@ -327,12 +327,9 @@ type parNode struct {
 // benchmarks: every P allocates into its own region (the webserver
 // pattern of a region per request), optionally linking each object to
 // the previous one with an annotated sameregion store, recycling the
-// region every 8192 allocations. cache selects the allocation fast path
-// (region_alloccache.go) or the pre-cache slow path — compare the pairs
-// at -cpu 8 for the ablation (cmd/rcbench -ab alloc runs the same A/B
-// interleaved).
-func benchParallelAlloc(b *testing.B, cache, link bool) {
-	a := NewArena(WithAllocCache(cache))
+// region every 8192 allocations.
+func benchParallelAlloc(b *testing.B, link bool) {
+	a := NewArena()
 	b.RunParallel(func(pb *testing.PB) {
 		r := a.NewRegion()
 		var prev *Obj[parNode]
@@ -361,21 +358,12 @@ func benchParallelAlloc(b *testing.B, cache, link bool) {
 
 // BenchmarkParallelAlloc allocates from every P into its own region —
 // the webserver pattern of a region per request.
-func BenchmarkParallelAlloc(b *testing.B) { benchParallelAlloc(b, true, false) }
-
-// BenchmarkParallelAllocNoCache is BenchmarkParallelAlloc down the
-// pre-cache slow path (per-object lifecycle mutex + direct shared
-// counter updates), the allocation fast path's ablation baseline.
-func BenchmarkParallelAllocNoCache(b *testing.B) { benchParallelAlloc(b, false, false) }
+func BenchmarkParallelAlloc(b *testing.B) { benchParallelAlloc(b, false) }
 
 // BenchmarkParallelAllocSetSame interleaves each allocation with an
 // annotated sameregion store — the paper's cheap-pointer pattern riding
 // on the allocation fast path.
-func BenchmarkParallelAllocSetSame(b *testing.B) { benchParallelAlloc(b, true, true) }
-
-// BenchmarkParallelAllocSetSameNoCache is the slow-path ablation of
-// BenchmarkParallelAllocSetSame.
-func BenchmarkParallelAllocSetSameNoCache(b *testing.B) { benchParallelAlloc(b, false, true) }
+func BenchmarkParallelAllocSetSame(b *testing.B) { benchParallelAlloc(b, true) }
 
 // BenchmarkParallelSetSame: every P runs annotated stores against its
 // own objects inside one shared region. No shared cache line is written,
@@ -393,7 +381,7 @@ func BenchmarkParallelSetSame(b *testing.B) {
 }
 
 // BenchmarkParallelSetSameMetrics is BenchmarkParallelSetSame with the
-// cumulative arena counters enabled (EnableMetrics): the annotated
+// cumulative arena counters enabled (WithMetrics): the annotated
 // store additionally bumps one per-shard atomic counter. Compare the two
 // at -cpu 1,2,4,8 to measure the metrics overhead; with metrics left
 // disabled (the default) the instrumentation is a single pointer load

@@ -10,7 +10,7 @@
 //	rcbench -scale 50 -reps 5 -workloads moss,tile
 //	rcbench -json            # machine-readable report on stdout
 //	rcbench -ab all -reps 10         # every Go-native A/B scenario, 10 ABBA rounds each
-//	rcbench -ab slab,own-setref      # groups (alloc fabric advisor own contend slab) and scenario names
+//	rcbench -ab slab,own-setref      # groups (fabric advisor own contend slab) and scenario names
 //	rcbench -advise              # profile a deliberately un-annotated
 //	                             # grobner-mix replay and print the
 //	                             # advisor's upgrade table; exits non-zero

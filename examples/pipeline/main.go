@@ -25,8 +25,7 @@ type batch struct {
 }
 
 func main() {
-	arena := rcgo.NewArena()
-	arena.EnableMetrics()
+	arena := rcgo.NewArena(rcgo.WithMetrics())
 
 	const batches = 4
 	const itemsPer = 5

@@ -93,10 +93,12 @@ type server struct {
 
 func newServer() *server {
 	trace := rcgo.NewRingTracer(1 << 16)
-	// Pass the tracer at construction, so every epoch, request and
-	// subrequest lifecycle event — including the arena's own traditional
-	// region — lands in the ring.
-	s := &server{arena: rcgo.NewArena(rcgo.WithTracer(trace), rcgo.WithAdvisor()), trace: trace}
+	// Every instrument is fixed at construction, so the tracer sees every
+	// epoch, request and subrequest lifecycle event — including the
+	// arena's own traditional region — and the counters the inspector and
+	// expvar serve cover the arena's whole life.
+	arena := rcgo.NewArena(rcgo.WithMetrics(), rcgo.WithTracer(trace), rcgo.WithAdvisor())
+	s := &server{arena: arena, trace: trace}
 	s.conf = rcgo.Alloc[config](s.arena.Traditional())
 	s.conf.Value.name = "rcgo-demo"
 	s.rotate()

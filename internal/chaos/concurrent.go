@@ -250,8 +250,7 @@ func clearRef(holder *rcgo.Obj[node]) error {
 func RunConc(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
 	ring := rcgo.NewRingTracer(1 << 14)
-	a := rcgo.NewArena(rcgo.WithAdvisor(), rcgo.WithTracer(ring))
-	a.EnableMetrics()
+	a := rcgo.NewArena(rcgo.WithMetrics(), rcgo.WithAdvisor(), rcgo.WithTracer(ring))
 	var adv advisorCounts
 	wd := rcgo.NewZombieWatchdog(a, 2*time.Millisecond)
 	wd.Start(5 * time.Millisecond)
@@ -455,8 +454,7 @@ func RunConc(cfg ConcConfig) (ConcResult, error) {
 // quiesced advisor table must count exactly the links that succeeded.
 func RunAllocChurn(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena(rcgo.WithAdvisor())
-	a.EnableMetrics()
+	a := rcgo.NewArena(rcgo.WithMetrics(), rcgo.WithAdvisor())
 	var adv advisorCounts
 
 	const sharedN = 4
@@ -738,10 +736,8 @@ func RunFabric(cfg ConcConfig) (ConcResult, error) {
 // consumed.
 func RunOwnership(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena()
-	a.EnableMetrics()
 	ring := rcgo.NewRingTracer(1 << 14)
-	a.SetTracer(ring)
+	a := rcgo.NewArena(rcgo.WithMetrics(), rcgo.WithTracer(ring))
 
 	var successes atomic.Int64
 	hub := a.NewRegion()
@@ -964,8 +960,7 @@ func RunOwnership(cfg ConcConfig) (ConcResult, error) {
 func RunContention(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
 	ring := rcgo.NewRingTracer(1 << 14)
-	a := rcgo.NewArena(rcgo.WithTracer(ring))
-	a.EnableMetrics()
+	a := rcgo.NewArena(rcgo.WithMetrics(), rcgo.WithTracer(ring))
 	wd := rcgo.NewOwnerWatchdog(a, 2*time.Millisecond)
 	wd.ForceReleaseAfter = 5 * time.Millisecond
 	wd.Start(time.Millisecond)
@@ -1183,10 +1178,9 @@ type slabRec struct {
 // store must be idempotent.
 func RunSlab(cfg ConcConfig) (ConcResult, error) {
 	var res ConcResult
-	a := rcgo.NewArena(rcgo.WithOffHeapSlabs(), rcgo.WithMetrics())
-	defer a.CloseBackingStore()
 	ring := rcgo.NewRingTracer(1 << 14)
-	a.SetTracer(ring)
+	a := rcgo.NewArena(rcgo.WithOffHeapSlabs(), rcgo.WithMetrics(), rcgo.WithTracer(ring))
+	defer a.CloseBackingStore()
 
 	const sharedN = 4
 	var shared [sharedN]atomic.Pointer[rcgo.Region]

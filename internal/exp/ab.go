@@ -442,8 +442,7 @@ func arenaWith(opts ...rcgo.Option) func() *rcgo.Arena {
 // most four 2-CPU runs' garbage, about 200 MiB, per quiesced run.
 const workCPUs = 4
 
-// abScenarios is the scenario table at cpu workers. grobnerStores is
-// grobner's measured stores-per-allocation ratio; store is the slab
+// abScenarios is the scenario table at cpu workers. store is the slab
 // store every slab run shares, so pages freed by one run recycle into
 // the next and the slab side is not charged a cold map per round that
 // the baseline's warm Go heap never pays. Iteration counts size one run
@@ -451,7 +450,7 @@ const workCPUs = 4
 // run piles up kept near 100 MiB. Counts scale with the worker count up
 // to workCPUs workers' worth and no further, so a quiesced run's heap
 // growth stays bounded on any core count.
-func abScenarios(cpu, grobnerStores int, store rcgo.BackingStore) []abScenario {
+func abScenarios(cpu int, store rcgo.BackingStore) []abScenario {
 	// The fabric and hand-off questions need two shards or two
 	// contenders to mean anything.
 	two := max(2, cpu)
@@ -460,16 +459,11 @@ func abScenarios(cpu, grobnerStores int, store rcgo.BackingStore) []abScenario {
 		return sideSpec{arena: arena, workers: cpu, body: body}
 	}
 	plain := arenaWith()
-	noCache := arenaWith(rcgo.WithAllocCache(false))
 	advisor := arenaWith(rcgo.WithAdvisor())
 	slabs := arenaWith(rcgo.WithBackingStore(store))
 	oneShard, fabric := withBackdrop(rcgo.WithShards(1)), withBackdrop(rcgo.WithShards(two))
 	q := GCQuiesced
 	return []abScenario{
-		// alloc: the allocation fast path, cache off vs on.
-		{"parallel-alloc", "alloc", work(800_000), q, side(noCache, allocBatch(0, 8192)), side(plain, allocBatch(0, 8192))},
-		{"parallel-alloc-setsame", "alloc", work(800_000), q, side(noCache, allocBatch(1, 8192)), side(plain, allocBatch(1, 8192))},
-		{"parallel-alloc-grobner-mix", "alloc", work(700_000), q, side(noCache, allocBatch(grobnerStores, 8192)), side(plain, allocBatch(grobnerStores, 8192))},
 		// fabric: one shard vs a fabric, under the live backdrop.
 		{"fabric-parallel-alloc", "fabric", work(300_000), q, side(oneShard, allocBatch(0, 8)), side(fabric, allocBatch(0, 8))},
 		{"fabric-parallel-alloc-setsame", "fabric", work(300_000), q, side(oneShard, allocBatch(1, 8)), side(fabric, allocBatch(1, 8))},
@@ -530,13 +524,9 @@ func RunAB(spec string, rounds int) ([]ABCell, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("-ab: %d rounds, want > 0", rounds)
 	}
-	grobnerStores, err := workloadStoresPerAlloc("grobner", 2)
-	if err != nil {
-		return nil, err
-	}
 	store := rcgo.NewSlabStore()
 	defer store.Close()
-	scs, err := selectAB(abScenarios(runtime.GOMAXPROCS(0), grobnerStores, store), spec)
+	scs, err := selectAB(abScenarios(runtime.GOMAXPROCS(0), store), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -573,8 +563,8 @@ func PrintAB(w io.Writer, cells []ABCell) {
 // workloadStoresPerAlloc runs the named workload once through the
 // compiler pipeline and distills its store-per-allocation ratio
 // (annotated + unchecked stores over allocations, rounded), so the
-// Go-native grobner-mix scenario and the advisor replay carry the
-// workload's real op mix rather than an invented one.
+// advisor replay carries the workload's real op mix rather than an
+// invented one.
 func workloadStoresPerAlloc(name string, scale int) (int, error) {
 	w := workloads.ByName(name)
 	if w == nil {

@@ -112,7 +112,7 @@ func TestRunScenarioBodyError(t *testing.T) {
 }
 
 func TestSelectAB(t *testing.T) {
-	table := abScenarios(2, 1, nil)
+	table := abScenarios(2, nil)
 	all, err := selectAB(table, "all")
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +121,7 @@ func TestSelectAB(t *testing.T) {
 	for _, sc := range all {
 		names = append(names, sc.name)
 	}
-	want := "parallel-alloc parallel-alloc-setsame parallel-alloc-grobner-mix " +
-		"fabric-parallel-alloc fabric-parallel-alloc-setsame fabric-parallel-delete " +
+	want := "fabric-parallel-alloc fabric-parallel-alloc-setsame fabric-parallel-delete " +
 		"parallel-setsame parallel-setref own-alloc-setsame own-build-delete own-setref " +
 		"acquire-fastpath contend-handoff slab-alloc slab-build-delete slab-gc-pressure"
 	if got := strings.Join(names, " "); got != want {
@@ -142,7 +141,7 @@ func TestSelectAB(t *testing.T) {
 	}
 	// The contenders of the hand-off storm and the fabric's shards never
 	// drop below two, even at GOMAXPROCS 1.
-	for _, sc := range abScenarios(1, 1, nil) {
+	for _, sc := range abScenarios(1, nil) {
 		if sc.name == "contend-handoff" && sc.treat.workers != 2 {
 			t.Errorf("contend-handoff at cpu 1 has %d contenders, want 2", sc.treat.workers)
 		}
@@ -152,8 +151,8 @@ func TestSelectAB(t *testing.T) {
 // A run's size, and with it the garbage a quiesced run piles up, stops
 // growing at workCPUs workers, while every worker still gets work.
 func TestScenarioRunSizeCapped(t *testing.T) {
-	capped := abScenarios(workCPUs, 1, nil)
-	for i, sc := range abScenarios(64, 1, nil) {
+	capped := abScenarios(workCPUs, nil)
+	for i, sc := range abScenarios(64, nil) {
 		if sc.iters > capped[i].iters {
 			t.Errorf("%s: %d ops at cpu 64, more than %d at cpu %d", sc.name, sc.iters, capped[i].iters, workCPUs)
 		}

@@ -50,9 +50,8 @@ import (
 // entry's counters before the Set* call returns, so once the arena
 // quiesces (no store in flight) the table is exact — the fabric stress
 // and the chaos alloc-churn phase hold the advisor to that bound under
-// -race. Stores already in flight when EnableAdvisor arms the gate may
-// go unobserved, exactly like the metrics gate; arm at construction
-// with WithAdvisor for whole-life coverage.
+// -race. The advisor is armed at NewArena (WithAdvisor) or never, so
+// the profile covers the arena's whole life.
 
 // StoreFlavour identifies one of the four store APIs, ordered by cost:
 // a smaller flavour is cheaper at store time. The order is the advisor's
@@ -244,31 +243,16 @@ func (ad *arenaAdvisor) entries() []*advisorEntry {
 	return es
 }
 
-// WithAdvisor arms the annotation advisor from birth, equivalent to
-// calling EnableAdvisor immediately after construction — except that no
-// store can predate the gate, so the profile covers the arena's whole
-// life. Armed, every successful non-nil Set* store pays a two-frame
-// runtime.Callers walk; leave the advisor off in production unless the
-// profile is wanted.
+// WithAdvisor arms the annotation advisor from birth, so the profile
+// covers the arena's whole life. Armed, every successful non-nil Set*
+// store pays a two-frame runtime.Callers walk; leave the advisor off in
+// production unless the profile is wanted.
 func WithAdvisor() Option {
 	return func(c *arenaConfig) { c.advisor = true }
 }
 
-// EnableAdvisor arms the annotation advisor mid-life. Idempotent; the
-// profile accumulates from the first call and is never reset. Like
-// EnableMetrics, the gate each store reads is the per-region
-// instruments pointer, so enabling walks the registry to arm every
-// existing region; stores already in flight may go unobserved — the
-// profile is exact only for stores that began after arming (and, at
-// quiesce, exactly those).
-func (a *Arena) EnableAdvisor() {
-	if a.instr.advisor.CompareAndSwap(nil, &arenaAdvisor{}) {
-		a.armRegions()
-	}
-}
-
-// AdvisorEnabled reports whether the annotation advisor is armed.
-func (a *Arena) AdvisorEnabled() bool { return a.instr.advisor.Load() != nil }
+// AdvisorEnabled reports whether the arena was built WithAdvisor.
+func (a *Arena) AdvisorEnabled() bool { return a.instr.advisor != nil }
 
 // AdvisorSite is one profiled call site of the advisor report: where
 // the store is, the flavour it used, what the profile observed, and the
@@ -327,7 +311,7 @@ type AdvisorReport struct {
 // resolution walks runtime.CallersFrames per site, so the report is a
 // debug-time operation, not a fast path.
 func (a *Arena) AdvisorReport() AdvisorReport {
-	ad := a.instr.advisor.Load()
+	ad := a.instr.advisor
 	if ad == nil {
 		return AdvisorReport{Sites: []AdvisorSite{}}
 	}
@@ -418,7 +402,7 @@ type AdvisorStats struct {
 // advisorStats summarizes the table without resolving symbols; ok is
 // false while the advisor is disarmed.
 func (a *Arena) advisorStats() (AdvisorStats, bool) {
-	ad := a.instr.advisor.Load()
+	ad := a.instr.advisor
 	if ad == nil {
 		return AdvisorStats{}, false
 	}
@@ -442,7 +426,7 @@ func (a *Arena) advisorStats() (AdvisorStats, bool) {
 // by wasted rc updates.
 func (rep AdvisorReport) WriteTable(w io.Writer) {
 	if !rep.Enabled {
-		fmt.Fprintln(w, "advisor disabled: arm with rcgo.WithAdvisor() at construction or Arena.EnableAdvisor() mid-life")
+		fmt.Fprintln(w, "advisor disabled: arm with rcgo.WithAdvisor() at construction")
 		return
 	}
 	fmt.Fprintf(w, "advisor: %d observations over %d call sites, %d upgrade candidates, %d wasted rc updates\n",

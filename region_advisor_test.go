@@ -207,36 +207,20 @@ func TestAdvisorMixedSite(t *testing.T) {
 	}
 }
 
-// TestAdvisorEnableMidLife: stores before arming are unobserved, the
-// mid-life gate walks existing regions, and arming is idempotent.
-func TestAdvisorEnableMidLife(t *testing.T) {
+// TestAdvisorDisabledTable: an arena built without WithAdvisor observes
+// no store, and the human table names the arming knob instead of
+// rendering an empty report.
+func TestAdvisorDisabledTable(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
 	h := Alloc[advTestNode](r)
-	v := Alloc[advTestNode](r)
-	MustSetSame(h, &h.Value.same, v)
+	MustSetSame(h, &h.Value.same, Alloc[advTestNode](r))
 	if a.AdvisorEnabled() {
 		t.Fatal("advisor armed without opting in")
 	}
 	if rep := a.AdvisorReport(); rep.Enabled || len(rep.Sites) != 0 {
 		t.Fatalf("disarmed report not empty: %+v", rep)
 	}
-	a.EnableAdvisor()
-	a.EnableAdvisor() // idempotent
-	if !a.AdvisorEnabled() {
-		t.Fatal("EnableAdvisor did not arm")
-	}
-	MustSetSame(h, &h.Value.same, v)
-	rep := a.AdvisorReport()
-	if rep.Observations != 1 || len(rep.Sites) != 1 {
-		t.Fatalf("mid-life profile wrong (pre-arming store leaked in?):\n%s", rep)
-	}
-}
-
-// TestAdvisorDisabledTable: the human table names the arming knobs when
-// the advisor is off, instead of rendering an empty report.
-func TestAdvisorDisabledTable(t *testing.T) {
-	a := NewArena()
 	table := a.AdvisorReport().String()
 	if !strings.Contains(table, "advisor disabled") || !strings.Contains(table, "WithAdvisor") {
 		t.Errorf("disabled table missing the arming hint:\n%s", table)

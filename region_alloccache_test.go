@@ -16,8 +16,7 @@ type cachePayload struct{ a, b, c int64 }
 // cache: objs is stale, Objects() folds the pending deltas in, and
 // Stats is a flush point that settles the real counter.
 func TestAllocCacheFlushOnStats(t *testing.T) {
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 	r := a.NewRegion()
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -45,8 +44,7 @@ func TestAllocCacheFlushOnStats(t *testing.T) {
 // A long enough allocation run must cross the per-shard threshold and
 // flush without any explicit flush point being exercised.
 func TestAllocCacheThresholdFlush(t *testing.T) {
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 	r := a.NewRegion()
 	const n = 2 * allocShards * allocFlushThreshold
 	for i := 0; i < n; i++ {
@@ -67,10 +65,17 @@ func TestAllocCacheThresholdFlush(t *testing.T) {
 func TestAllocCacheFlushOnDelete(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
-	for i := 0; i < 20; i++ {
+	const n = 20
+	for i := 0; i < n; i++ {
 		if _, err := TryAlloc[cachePayload](r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := r.objs.Load(); got != 0 {
+		t.Fatalf("objs = %d before a flush point, want 0 (deltas parked)", got)
+	}
+	if got := a.LiveObjects(); got != n {
+		t.Fatalf("LiveObjects = %d before delete, want %d", got, n)
 	}
 	if err := r.Delete(); err != nil {
 		t.Fatal(err)
@@ -130,8 +135,7 @@ func TestAllocCacheFlushOnDeleteDeferred(t *testing.T) {
 // the cumulative Allocs counter equal to the exact success count, and
 // the audit clean — no delta may drift across any flush path.
 func TestAllocCacheAuditAfterChurn(t *testing.T) {
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 	rng := rand.New(rand.NewSource(1))
 	var live []*Region
 	var want, total int64
@@ -225,52 +229,6 @@ func TestAllocCacheConcurrentRefillVsDelete(t *testing.T) {
 	}
 	if rep := a.Audit(); !rep.OK {
 		t.Fatalf("audit at quiesce:\n%s", rep)
-	}
-}
-
-// WithAllocCache(false) routes the arena's regions down the pre-cache
-// slow path: counters update directly, no delta cache is built, and the
-// two paths keep identical accounting.
-func TestAllocCacheDisabled(t *testing.T) {
-	a := NewArena(WithAllocCache(false))
-	slow := a.NewRegion()
-	for i := 0; i < 10; i++ {
-		if _, err := TryAlloc[cachePayload](slow); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := slow.objs.Load(); got != 10 {
-		t.Fatalf("slow path objs = %d, want 10 (counted directly)", got)
-	}
-	if slow.acache.Load() != nil {
-		t.Fatal("slow path built a delta cache")
-	}
-	b := NewArena()
-	fast := b.NewRegion()
-	for i := 0; i < 10; i++ {
-		if _, err := TryAlloc[cachePayload](fast); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := fast.objs.Load(); got != 0 {
-		t.Fatalf("fast path objs = %d before a flush point, want 0", got)
-	}
-	for _, side := range []struct {
-		a *Arena
-		r *Region
-	}{{a, slow}, {b, fast}} {
-		if got := side.a.LiveObjects(); got != 10 {
-			t.Fatalf("LiveObjects = %d, want 10", got)
-		}
-		if err := side.r.Delete(); err != nil {
-			t.Fatal(err)
-		}
-		if got := side.a.LiveObjects(); got != 0 {
-			t.Fatalf("LiveObjects = %d after delete, want 0", got)
-		}
-		if rep := side.a.Audit(); !rep.OK {
-			t.Fatalf("audit:\n%s", rep)
-		}
 	}
 }
 

@@ -84,21 +84,16 @@ type Arena struct {
 	// instr holds the cumulative op counters (region_metrics.go) and the
 	// annotation advisor (region_advisor.go), gated per region by
 	// Region.instr; tracer delivers lifecycle events (region_trace.go).
-	// All are nil until enabled and cost the fast paths one load + branch.
+	// NewArena sets all three for the arena's life; each is nil when off
+	// and costs the fast paths one load + branch.
 	instr  instruments
-	tracer atomic.Pointer[tracerBox]
+	tracer Tracer
 
 	// recordAcquireSites is set, never cleared, by NewOwnerWatchdog:
 	// from then on every acquire records its call site for stale-owner
 	// reports and the /owners inspector. Without a watchdog the
 	// runtime.Callers walk is skipped.
 	recordAcquireSites atomic.Bool
-
-	// allocSlow disables the allocation fast path (region_alloccache.go)
-	// for the arena's regions: WithAllocCache(false), the A/B ablation
-	// knob. Fixed at construction and copied into every region, so the
-	// hot path never chases a pointer through the arena.
-	allocSlow bool
 
 	// backing is the off-heap page store behind slab-backed object
 	// chunks (region_slab.go); nil — the default — means every chunk is
@@ -121,17 +116,16 @@ type Region struct {
 	shard  *arenaShard
 	parent *Region // immutable after creation
 	id     int64
-	// instr is the one instrument gate: it points at arena.instr once
-	// metrics or the advisor is armed, so the fast paths gate both on a
-	// load from this (already hot, effectively read-only) cache line
+	// instr is the one instrument gate: it points at arena.instr when
+	// the arena was built with metrics or the advisor, so the fast paths
+	// gate both on a load from this (already hot, read-only) cache line
 	// instead of a dependent load through the arena. nil = none armed.
-	instr atomic.Pointer[instruments]
+	// Written once in newRegion, before the region is published.
+	instr *instruments
 
 	// acache is the lazily-created allocation delta cache
-	// (region_alloccache.go); allocSlow (immutable after creation)
-	// routes TryAlloc to the pre-cache slow path instead.
-	acache    atomic.Pointer[allocCache]
-	allocSlow bool
+	// (region_alloccache.go).
+	acache atomic.Pointer[allocCache]
 
 	// mu serializes lifecycle decisions. The counters stay atomic so the
 	// reference fast paths (incRC/decRC) and stat reads never block on it.
@@ -233,19 +227,16 @@ func (r *Region) ID() int64 { return r.id }
 // Registration happens after the parent pointer is set so the debug
 // inspector never observes a half-built region.
 func (a *Arena) newRegion(parent *Region) *Region {
-	r := &Region{arena: a, parent: parent, allocSlow: a.allocSlow}
+	r := &Region{arena: a, parent: parent}
+	if a.instr != (instruments{}) {
+		r.instr = &a.instr
+	}
 	idx := a.shardIndexFor(unsafe.Pointer(r))
 	sh := &a.shards[idx]
 	r.shard = sh
 	r.id = sh.nextSeq.Add(1)<<shardIDBits | int64(idx)
 	sh.liveRegions.Add(1)
 	a.register(r)
-	// Arm the instrument gate after registering: either this load sees an
-	// armed instrument, or the arming registry walk (armRegions, which
-	// runs after the instrument is stored) sees the registered region.
-	if a.instr.metrics.Load() != nil || a.instr.advisor.Load() != nil {
-		r.instr.Store(&a.instr)
-	}
 	a.traceEvent(TraceRegionCreated, r)
 	return r
 }
@@ -315,9 +306,6 @@ func TryAlloc[T any](r *Region) (*Obj[T], error) {
 	if err := fpAllocAdmission.Eval(); err != nil {
 		return nil, fmt.Errorf("%w: allocation in region %d", err, r.id)
 	}
-	if r.allocSlow {
-		return tryAllocSlow[T](r)
-	}
 	o, err := newChunkedObj[T](r)
 	if err != nil {
 		return nil, err
@@ -347,33 +335,6 @@ func TryAlloc[T any](r *Region) (*Obj[T], error) {
 			return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionDeleted, r.id)
 		}
 	}
-}
-
-// tryAllocSlow is the pre-cache allocation path, kept as the
-// WithAllocCache(false) ablation baseline: per-object lifecycle mutex
-// plus direct updates of the shared counters.
-func tryAllocSlow[T any](r *Region) (*Obj[T], error) {
-	o := &Obj[T]{region: r}
-	r.mu.Lock()
-	switch r.state.Load() {
-	case stateAlive:
-	case stateOwned:
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionOwned, r.id)
-	default:
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionDeleted, r.id)
-	}
-	// Under mu: a racing Delete either admits this object before its
-	// decision (and its reclaim accounts for it) or has already marked
-	// the region and we fail above. Object accounting stays exact.
-	r.objs.Add(1)
-	r.shard.liveObjs.Add(1)
-	r.mu.Unlock()
-	if c := r.counters(); c != nil {
-		c.allocs.Add(1)
-	}
-	return o, nil
 }
 
 // Region returns the region holding the object.

@@ -389,14 +389,15 @@ func (a *Arena) debugEndpoints() []debugEndpoint {
 //
 //	/hierarchy      live region forest as JSON ({"stats": ..., "regions": ...})
 //	/hierarchy.dot  the same forest as Graphviz dot
-//	/counters       ArenaStats + cumulative ArenaCounters (+ ring-tracer
-//	                occupancy and advisor summary, when attached) as JSON
+//	/counters       ArenaStats + cumulative ArenaCounters (when built
+//	                WithMetrics) + ring-tracer occupancy and advisor
+//	                summary (when attached) as JSON
 //	/blocked        blocked-deleters report as JSON
 //	/audit          whole-arena invariant audit (region_audit.go) as JSON;
 //	                exact when the arena is quiesced, advisory under load
 //	/advisor        annotation-advisor call-site profile (AdvisorReport)
-//	                as JSON; reports enabled=false until the advisor is
-//	                armed with WithAdvisor or EnableAdvisor
+//	                as JSON; reports enabled=false unless the arena was
+//	                built WithAdvisor
 //	/advisor.txt    the same profile as a human table, upgrade candidates
 //	                ranked by wasted rc updates first
 //	/owners         ownership report (region_owner.go) as JSON: every
@@ -411,11 +412,10 @@ func (a *Arena) debugEndpoints() []debugEndpoint {
 //	/trace          attached RingTracer's occupancy stats and buffered
 //	                lifecycle events as JSON; ?n=K limits to the last K
 //
-// Creating the handler enables the cumulative counters (EnableMetrics).
-// It does NOT arm the annotation advisor — advising costs a stack walk
-// per store, so it stays an explicit opt-in.
+// The handler only reads: it arms no instrument. Build the arena
+// WithMetrics for /counters to carry the cumulative counters, and
+// WithAdvisor or WithTracer for the advisor and trace endpoints.
 func (a *Arena) DebugHandler() http.Handler {
-	a.EnableMetrics()
 	mux := http.NewServeMux()
 	endpoints := a.debugEndpoints()
 	for _, ep := range endpoints {
@@ -480,19 +480,23 @@ func (a *Arena) slabsDoc() SlabsReport {
 }
 
 // countersDoc is the shared JSON document of the /counters endpoint and
-// PublishExpvar: arena stats, cumulative counters, and — when attached
-// — the ring tracer's occupancy/drop counts and the annotation
+// PublishExpvar: arena stats and — when attached — the cumulative
+// counters, the ring tracer's occupancy/drop counts and the annotation
 // advisor's summary (site and upgrade-candidate counts, no symbol
 // resolution), so monitoring can detect lost lifecycle events and
 // annotation upgrades left on the table from one scrape.
 func (a *Arena) countersDoc() any {
 	doc := struct {
-		Stats    ArenaStats    `json:"stats"`
-		Counters ArenaCounters `json:"counters"`
-		Trace    *TraceStats   `json:"trace,omitempty"`
-		Advisor  *AdvisorStats `json:"advisor,omitempty"`
-		Slabs    *SlabStats    `json:"slabs,omitempty"`
-	}{Stats: a.Stats(), Counters: a.Counters()}
+		Stats    ArenaStats     `json:"stats"`
+		Counters *ArenaCounters `json:"counters,omitempty"`
+		Trace    *TraceStats    `json:"trace,omitempty"`
+		Advisor  *AdvisorStats  `json:"advisor,omitempty"`
+		Slabs    *SlabStats     `json:"slabs,omitempty"`
+	}{Stats: a.Stats()}
+	if a.MetricsEnabled() {
+		c := a.Counters()
+		doc.Counters = &c
+	}
 	if ts, ok := a.traceStats(); ok {
 		doc.Trace = &ts
 	}
@@ -509,18 +513,18 @@ func (a *Arena) countersDoc() any {
 // duplicate names.
 var expvarMu sync.Mutex
 
-// PublishExpvar publishes the arena's stats and cumulative counters as
-// one expvar.Func under the given name (served by the standard
-// /debug/vars endpoint), enabling metrics as a side effect. expvar names
-// are process-global and cannot be unpublished, so publishing two
-// arenas under one name is an error.
+// PublishExpvar publishes the arena's /counters document as one
+// expvar.Func under the given name (served by the standard /debug/vars
+// endpoint); like DebugHandler it arms nothing, so the counters appear
+// only on an arena built WithMetrics. expvar names are process-global
+// and cannot be unpublished, so publishing two arenas under one name is
+// an error.
 func (a *Arena) PublishExpvar(name string) error {
 	expvarMu.Lock()
 	defer expvarMu.Unlock()
 	if expvar.Get(name) != nil {
 		return fmt.Errorf("rcgo: expvar %q already published", name)
 	}
-	a.EnableMetrics()
 	expvar.Publish(name, expvar.Func(func() any { return a.countersDoc() }))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -188,7 +189,7 @@ func TestBlockedDeleters(t *testing.T) {
 }
 
 func TestDebugHandlerEndpoints(t *testing.T) {
-	a := NewArena()
+	a := NewArena(WithMetrics())
 	top := a.NewRegion()
 	sub := top.NewSubregion()
 	Alloc[traceNode](sub)
@@ -248,7 +249,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 		t.Errorf("/hierarchy.dot wrong (%q):\n%s", ct, dot)
 	}
 
-	// The handler enabled metrics, so ops from here on are counted.
+	// The arena counts from birth; this is its first annotated store.
 	MustSetSame(h, &h.Value.up, h)
 	body, _ = get("/counters")
 	var counters struct {
@@ -258,8 +259,8 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &counters); err != nil {
 		t.Fatalf("/counters: %v\n%s", err, body)
 	}
-	if counters.Counters.SameChecks == 0 {
-		t.Errorf("/counters shows no same checks after MustSetSame:\n%s", body)
+	if counters.Counters.SameChecks != 1 {
+		t.Errorf("/counters shows %d same checks after one MustSetSame, want 1:\n%s", counters.Counters.SameChecks, body)
 	}
 
 	body, _ = get("/blocked")
@@ -608,14 +609,17 @@ func TestPublishExpvar(t *testing.T) {
 		t.Fatal("expvar not published")
 	}
 	var snap struct {
-		Stats    ArenaStats    `json:"stats"`
-		Counters ArenaCounters `json:"counters"`
+		Stats    ArenaStats     `json:"stats"`
+		Counters *ArenaCounters `json:"counters"`
 	}
 	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
 		t.Fatalf("expvar value not JSON: %v\n%s", err, v.String())
 	}
 	if snap.Stats.LiveRegions != 2 {
 		t.Errorf("expvar live_regions = %d, want 2", snap.Stats.LiveRegions)
+	}
+	if snap.Counters != nil || a.MetricsEnabled() {
+		t.Errorf("publishing armed metrics on an arena built without WithMetrics: %+v", snap.Counters)
 	}
 
 	// An advisor-armed arena's expvar doc carries the advisor summary.
@@ -635,5 +639,80 @@ func TestPublishExpvar(t *testing.T) {
 	}
 	if armedSnap.Advisor == nil || armedSnap.Advisor.Sites != 1 || armedSnap.Advisor.UpgradeCandidates != 1 {
 		t.Errorf("expvar advisor summary wrong: %+v", armedSnap.Advisor)
+	}
+}
+
+// Mounting the inspector and publishing expvar mid-life must not break
+// the identities ArenaCounters documents. Built without WithMetrics, the
+// arena stays uncounted and /counters omits the counters; built with
+// it, every acquire and slab refill is counted from birth, so the
+// identities hold at quiesce however late the handlers are mounted.
+func TestInspectorKeepsCounterIdentities(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"without-metrics", nil},
+		{"with-metrics", []Option{WithMetrics()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewArena(append([]Option{WithOffHeapSlabs()}, tc.opts...)...)
+			defer a.CloseBackingStore()
+			owned := a.NewRegion()
+			tok, err := owned.TryAcquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			AllocOwned[traceNode](tok)
+			slab := a.NewRegion()
+			for i := 0; i < 64; i++ {
+				Alloc[slabVal](slab)
+			}
+
+			srv := httptest.NewServer(a.DebugHandler())
+			defer srv.Close()
+			// expvar names are process-global; the published arena stays
+			// reachable, so its address keeps the name unique under -count.
+			if err := a.PublishExpvar(fmt.Sprintf("rcgo.test.identities.%p", a)); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := tok.Release(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*Region{slab, owned} {
+				if err := r.Delete(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			resp, err := http.Get(srv.URL + "/counters")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var doc map[string]json.RawMessage
+			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			_, hasCounters := doc["counters"]
+			if !a.MetricsEnabled() {
+				if hasCounters {
+					t.Fatalf("/counters carries counters on an arena built without WithMetrics: %s", doc["counters"])
+				}
+				return
+			}
+			if !hasCounters {
+				t.Fatal("/counters omits the counters of an arena built WithMetrics")
+			}
+			c := a.Counters()
+			if c.Acquires != c.Releases+c.OwnerRevocations {
+				t.Errorf("acquires=%d releases=%d revocations=%d, want acquires == releases + revocations",
+					c.Acquires, c.Releases, c.OwnerRevocations)
+			}
+			if c.SlabRefills == 0 || c.SlabRefills != c.SlabReleases {
+				t.Errorf("slab_refills=%d slab_releases=%d, want equal and nonzero", c.SlabRefills, c.SlabReleases)
+			}
+		})
 	}
 }

@@ -104,12 +104,11 @@ type regionShard struct {
 type Option func(*arenaConfig)
 
 type arenaConfig struct {
-	shards     int
-	metrics    bool
-	advisor    bool
-	tracer     Tracer
-	allocCache bool
-	backing    BackingStore
+	shards  int
+	metrics bool
+	advisor bool
+	tracer  Tracer
+	backing BackingStore
 }
 
 // WithShards fixes the number of internal fabric shards. n is clamped
@@ -124,30 +123,18 @@ func WithShards(n int) Option {
 }
 
 // WithMetrics enables the arena's cumulative operation counters from
-// birth, equivalent to calling the deprecated EnableMetrics immediately
-// after construction — except that no operation can ever predate the
-// gate, so counters cover the arena's whole life.
+// birth: no operation can predate the gate, so counters cover the
+// arena's whole life. Without it, Counters reports zero and the debug
+// inspector's /counters omits the counters.
 func WithMetrics() Option {
 	return func(c *arenaConfig) { c.metrics = true }
 }
 
-// WithTracer installs t as the arena's lifecycle tracer from birth; the
-// traditional region's creation is the first event delivered. A tracer
-// that needs the arena handle to construct cannot exist before NewArena
-// returns; install it afterwards with SetTracer, which remains supported
-// for exactly that pattern.
+// WithTracer installs t as the arena's lifecycle tracer for its whole
+// life; the traditional region's creation is the first event delivered.
+// A nil t leaves the arena untraced.
 func WithTracer(t Tracer) Option {
 	return func(c *arenaConfig) { c.tracer = t }
-}
-
-// WithAllocCache enables (true, the default) or disables the allocation
-// fast path (region_alloccache.go) for the arena's regions — the A/B
-// ablation knob (cmd/rcbench -ab alloc), fixed for the arena's life.
-// Disabled, TryAlloc takes the pre-cache slow path: lifecycle mutex
-// plus direct atomic counter updates per object, with the same
-// exact-at-quiesce accounting.
-func WithAllocCache(enabled bool) Option {
-	return func(c *arenaConfig) { c.allocCache = enabled }
 }
 
 // defaultShardCount derives the fabric width from GOMAXPROCS at
@@ -175,19 +162,17 @@ func clampShards(n int) int {
 //
 //	a := rcgo.NewArena(
 //		rcgo.WithShards(8),          // fabric width (default: GOMAXPROCS-derived)
-//		rcgo.WithMetrics(),          // cumulative op counters from birth
-//		rcgo.WithAdvisor(),          // annotation advisor from birth
-//		rcgo.WithTracer(tracer),     // lifecycle tracer from birth
-//		rcgo.WithAllocCache(true),   // allocation fast path (the default)
+//		rcgo.WithMetrics(),          // cumulative op counters
+//		rcgo.WithAdvisor(),          // annotation advisor
+//		rcgo.WithTracer(tracer),     // lifecycle tracer
 //		rcgo.WithOffHeapSlabs(),     // off-heap slab backing store (region_slab.go)
 //	)
 //
-// NewArena() with no options is the previous constructor, unchanged in
-// behaviour apart from the fabric defaulting to a GOMAXPROCS-derived
-// shard count. The deprecated EnableMetrics remains as a mid-life
-// wrapper over the same configuration.
+// Every option is fixed for the arena's life: there are no setters, so
+// each instrument sees every operation from the traditional region's
+// creation on. nil options are ignored.
 func NewArena(opts ...Option) *Arena {
-	cfg := arenaConfig{shards: 0, allocCache: true}
+	var cfg arenaConfig
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&cfg)
@@ -200,19 +185,14 @@ func NewArena(opts ...Option) *Arena {
 	a := &Arena{
 		shards:    make([]arenaShard, n),
 		shardMask: uint64(n - 1),
+		tracer:    cfg.tracer,
 		backing:   cfg.backing,
-		allocSlow: !cfg.allocCache,
 	}
-	// Instruments armed here are stored before any region exists, so
-	// every region arms its gate in newRegion and no walk is needed.
 	if cfg.metrics {
-		a.instr.metrics.Store(&arenaMetrics{})
+		a.instr.metrics = &arenaMetrics{}
 	}
 	if cfg.advisor {
-		a.instr.advisor.Store(&arenaAdvisor{})
-	}
-	if cfg.tracer != nil {
-		a.tracer.Store(&tracerBox{t: cfg.tracer})
+		a.instr.advisor = &arenaAdvisor{}
 	}
 	a.trad = a.NewRegion()
 	return a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 type fabricNode struct {
@@ -89,51 +90,18 @@ func TestEachRegionShardOrdering(t *testing.T) {
 	}
 }
 
-// The deprecated knob setters still work and agree with their option
-// equivalents.
-func TestDeprecatedSettersStillWork(t *testing.T) {
-	// EnableMetrics after construction == WithMetrics for post-enable deltas.
-	a := NewArena()
-	if a.MetricsEnabled() {
-		t.Fatal("metrics enabled before EnableMetrics")
-	}
-	a.EnableMetrics()
-	if !a.MetricsEnabled() {
-		t.Fatal("EnableMetrics did not enable metrics")
-	}
-	r := a.NewRegion()
-	Alloc[fabricNode](r)
-	if got := a.Counters().Allocs; got != 1 {
-		t.Fatalf("Counters().Allocs = %d after EnableMetrics+Alloc, want 1", got)
-	}
-
-	// WithAllocCache(false) routes the arena's regions down the slow
-	// path; both paths keep counters exact.
-	b := NewArena(WithAllocCache(false))
-	s := b.NewRegion()
-	if !s.allocSlow {
-		t.Fatal("WithAllocCache(false) did not mark new regions slow-path")
-	}
-	Alloc[fabricNode](s)
-	if got := b.LiveObjects(); got != 1 {
-		t.Fatalf("LiveObjects = %d on slow path, want 1", got)
-	}
-
-	// SetTracer still installs a tracer mid-life.
-	ring := NewRingTracer(64)
-	b.SetTracer(ring)
-	b.NewRegion()
-	if ring.Total() == 0 {
-		t.Fatal("SetTracer-installed tracer saw no events")
-	}
-}
-
-// Options configure the arena from birth: WithMetrics counts the whole
-// life, WithTracer sees the traditional region's creation, and
-// WithAllocCache(false) marks every region slow-path.
+// Options configure the arena once, at NewArena: without WithMetrics
+// there are no counters, WithMetrics counts the whole life, WithTracer
+// sees the traditional region's creation, and nil options are ignored.
 func TestArenaOptions(t *testing.T) {
+	bare := NewArena()
+	Alloc[fabricNode](bare.NewRegion())
+	if bare.MetricsEnabled() || bare.Counters() != (ArenaCounters{}) {
+		t.Fatalf("arena without WithMetrics counts: %+v", bare.Counters())
+	}
+
 	ring := NewRingTracer(64)
-	a := NewArena(WithMetrics(), WithTracer(ring), WithAllocCache(false))
+	a := NewArena(WithMetrics(), WithTracer(ring))
 	if !a.MetricsEnabled() {
 		t.Fatal("WithMetrics did not enable metrics")
 	}
@@ -142,12 +110,22 @@ func TestArenaOptions(t *testing.T) {
 		t.Fatalf("first traced event = %+v, want the traditional region's creation", evs)
 	}
 	r := a.NewRegion()
-	if !r.allocSlow {
-		t.Fatal("WithAllocCache(false) did not mark new regions slow-path")
-	}
 	Alloc[fabricNode](r)
 	if got := a.Counters().Allocs; got != 1 {
 		t.Fatalf("Counters().Allocs = %d, want 1", got)
+	}
+	if got := a.LiveObjects(); got != 1 {
+		t.Fatalf("LiveObjects = %d, want 1", got)
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if c := a.Counters(); c.Deletes != 1 || c.Reclaims != 1 {
+		t.Fatalf("Counters() = %+v, want 1 delete and 1 reclaim", c)
+	}
+	// The gate sits on the region's first cache line (DESIGN.md §9).
+	if off := unsafe.Offsetof(r.instr); off >= 64 {
+		t.Fatalf("Region.instr at offset %d, want it on the first cache line", off)
 	}
 	// nil options are ignored.
 	if NewArena(nil, WithShards(2)).Shards() != 2 {

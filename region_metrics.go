@@ -17,9 +17,9 @@ import (
 //     region on lifecycle paths), so concurrent goroutines working on
 //     different slots rarely share a counter cache line and the shards
 //     scale like the slot registry does.
-//   - Counting is gated by a single atomic pointer, cached on every
-//     Region (first cache line, next to the identity fields the store
-//     paths read anyway) and owned by the arena. The annotated-store
+//   - Counting is gated by a single pointer, cached on every Region
+//     (first cache line, next to the identity fields the store paths
+//     read anyway) and owned by the arena. The annotated-store
 //     fast paths (SetSame/SetTrad/SetParent) are the paper's whole cost
 //     argument — check-only, no shared-memory writes — and on modern
 //     x86 even an uncontended LOCK-prefixed add costs a store-buffer
@@ -30,9 +30,10 @@ import (
 //     within noise of the uninstrumented runtime (EXPERIMENTS.md
 //     §"Observability overhead"); enabled, the full sharded-atomic cost
 //     is paid and documented there.
-//   - EnableMetrics is one-way and idempotent: counters are cumulative
-//     from the moment of enabling and never reset, so deltas taken by a
-//     monitoring scraper are always non-negative.
+//   - Metrics are chosen at NewArena (WithMetrics) and fixed for the
+//     arena's life: counters are cumulative from birth and never reset,
+//     so deltas taken by a monitoring scraper are always non-negative
+//     and the identities documented on ArenaCounters hold at quiesce.
 //
 // Counters are exact, not sampled: every counted operation increments
 // exactly one shard exactly once (verified under -race by
@@ -71,8 +72,8 @@ type counterShard struct {
 	slabReleases     atomic.Int64
 }
 
-// arenaMetrics is the sharded counter block, allocated when metrics are
-// enabled (64 shards * 128 B = 8 KiB per arena).
+// arenaMetrics is the sharded counter block, allocated by NewArena when
+// metrics are on (64 shards * 192 B = 12 KiB per arena).
 type arenaMetrics struct {
 	shards [metricShards]counterShard
 }
@@ -85,65 +86,36 @@ func (m *arenaMetrics) shard(p unsafe.Pointer) *counterShard {
 }
 
 // instruments holds the op counters and the annotation advisor
-// (region_advisor.go), each nil until armed and armed for life. Every
-// region gates both on one pointer, Region.instr.
+// (region_advisor.go), each nil when off. NewArena sets both for the
+// arena's life; every region gates both on one pointer, Region.instr.
 type instruments struct {
-	metrics atomic.Pointer[arenaMetrics]
-	advisor atomic.Pointer[arenaAdvisor]
+	metrics *arenaMetrics
+	advisor *arenaAdvisor
 }
 
 // counters returns the metric shard for pointer p, or nil while metrics
-// are off (in is nil until any instrument is armed).
+// are off (in is nil when no instrument is on).
 func (in *instruments) counters(p unsafe.Pointer) *counterShard {
-	if in != nil {
-		if m := in.metrics.Load(); m != nil {
-			return m.shard(p)
-		}
+	if in != nil && in.metrics != nil {
+		return in.metrics.shard(p)
 	}
 	return nil
 }
 
-// armRegions arms every registered region's gate after an instrument
-// was stored. newRegion registers before it reads the instruments, so
-// either this walk or newRegion arms a concurrently created region.
-func (a *Arena) armRegions() {
-	a.EachRegion(func(r *Region) { r.instr.Store(&a.instr) })
-}
-
-// EnableMetrics turns on the arena's cumulative operation counters.
-// Idempotent; counters accumulate from the first call and are never
-// reset. DebugHandler and PublishExpvar enable metrics implicitly.
-//
-// The gate each operation reads is the per-region instruments pointer,
-// so enabling walks the registry to arm every existing region (see
-// armRegions). Operations already in flight when metrics come up may go
-// uncounted — deltas are exact only between two snapshots taken while
-// metrics are on.
-//
-// Deprecated: pass WithMetrics to NewArena instead, which arms the gate
-// before any operation can run, so counters cover the arena's whole
-// life. EnableMetrics remains for turning counters on mid-life
-// (DebugHandler and PublishExpvar still use it).
-func (a *Arena) EnableMetrics() {
-	if a.instr.metrics.CompareAndSwap(nil, &arenaMetrics{}) {
-		a.armRegions()
-	}
-}
-
-// MetricsEnabled reports whether the cumulative counters are active.
-func (a *Arena) MetricsEnabled() bool { return a.instr.metrics.Load() != nil }
+// MetricsEnabled reports whether the arena was built WithMetrics.
+func (a *Arena) MetricsEnabled() bool { return a.instr.metrics != nil }
 
 // counters returns the counter shard for a lifecycle operation on r, or
 // nil when metrics are disabled.
 func (r *Region) counters() *counterShard {
-	return r.instr.Load().counters(unsafe.Pointer(r))
+	return r.instr.counters(unsafe.Pointer(r))
 }
 
 // ArenaCounters is a snapshot of the arena's cumulative operation
-// counters (zero while metrics are disabled). It is the online analogue
-// of internal/region.Stats: the paper's Table 2 compares RCIncrements +
-// RCDecrements (the expensive protocol) against SameChecks + TradChecks
-// + ParentChecks (the cheap annotated checks).
+// counters (zero when the arena was built without WithMetrics). It is
+// the online analogue of internal/region.Stats: the paper's Table 2
+// compares RCIncrements + RCDecrements (the expensive protocol) against
+// SameChecks + TradChecks + ParentChecks (the cheap annotated checks).
 type ArenaCounters struct {
 	// Allocs counts successful object allocations across all regions.
 	Allocs int64 `json:"allocs"`
@@ -218,7 +190,7 @@ type ArenaCounters struct {
 // once the arena quiesces and a monotonic approximation while ops are in
 // flight.
 func (a *Arena) Counters() ArenaCounters {
-	m := a.instr.metrics.Load()
+	m := a.instr.metrics
 	if m == nil {
 		return ArenaCounters{}
 	}

@@ -759,14 +759,9 @@ func TryAllocOwned[T any](o *Owner) (*Obj[T], error) {
 	if o.revoked.Load() {
 		return nil, fmt.Errorf("%w: owned allocation", ErrOwnerRevoked)
 	}
-	var obj *Obj[T]
-	if r.allocSlow {
-		obj = &Obj[T]{region: r}
-	} else {
-		var err error
-		if obj, err = newChunkedObj[T](r); err != nil {
-			return nil, err
-		}
+	obj, err := newChunkedObj[T](r)
+	if err != nil {
+		return nil, err
 	}
 	o.objs++
 	o.m.allocs++

@@ -116,9 +116,7 @@ func (b slabStore) Stats() SlabStats {
 // pointer-free payload types are chunked out of mmap-backed 8 KiB
 // blocks (a GC-heap segment backend on platforms without mmap), and
 // reclaim returns a region's blocks immediately at delete. Close the
-// store with Arena.CloseBackingStore once the arena quiesces. The
-// option only engages the fast path — with WithAllocCache(false) the
-// slow ablation path still allocates individual GC-heap objects.
+// store with Arena.CloseBackingStore once the arena quiesces.
 func WithOffHeapSlabs() Option {
 	return func(c *arenaConfig) { c.backing = NewSlabStore() }
 }

@@ -57,10 +57,9 @@ func TestSlabEligibility(t *testing.T) {
 }
 
 func TestSlabBackedAllocAndReclaim(t *testing.T) {
-	a := NewArena(WithOffHeapSlabs(), WithMetrics())
-	defer a.CloseBackingStore()
 	ring := NewRingTracer(1 << 10)
-	a.SetTracer(ring)
+	a := NewArena(WithOffHeapSlabs(), WithMetrics(), WithTracer(ring))
+	defer a.CloseBackingStore()
 
 	r := a.NewRegion()
 	// Enough objects to span several chunks.
@@ -154,8 +153,8 @@ func (s *refusingStore) Alloc(size int) (unsafe.Pointer, error) {
 	return nil, fmt.Errorf("refusing %d bytes: %w", size, slab.ErrMapFailed)
 }
 func (s *refusingStore) Free(p unsafe.Pointer, size int) {}
-func (s *refusingStore) Stats() SlabStats               { return SlabStats{} }
-func (s *refusingStore) Close() error                   { s.closed = true; return nil }
+func (s *refusingStore) Stats() SlabStats                { return SlabStats{} }
+func (s *refusingStore) Close() error                    { s.closed = true; return nil }
 
 func TestSlabStoreRefusalFallsBackToHeap(t *testing.T) {
 	rs := &refusingStore{}

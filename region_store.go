@@ -161,7 +161,7 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 	if target != nil {
 		tr = target.region
 	}
-	in := hr.instr.Load()
+	in := hr.instr
 	c := in.counters(unsafe.Pointer(slot)) // used by shared stores only
 
 	var old *Obj[T]
@@ -244,10 +244,8 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 		}
 		tally(o, c, f)
 	}
-	if tr != nil && in != nil {
-		if ad := in.advisor.Load(); ad != nil {
-			ad.observe(hr, tr, f)
-		}
+	if tr != nil && in != nil && in.advisor != nil {
+		in.advisor.observe(hr, tr, f)
 	}
 	if f != FlavourRef {
 		slot.target.Store(target)

@@ -16,6 +16,8 @@ import (
 // region_metrics.go; tracing covers lifecycle transitions, which
 // already serialize on the region's lifecycle mutex, so a tracer adds no
 // cost to the store fast paths and only a nil-check when disabled. The
+// tracer is installed at NewArena (WithTracer) and fixed for the arena's
+// life. The
 // one store-path kind, TraceStoreUpgradeable, fires at most once per
 // advisor call-site entry and only while the annotation advisor
 // (region_advisor.go) is armed.
@@ -186,48 +188,18 @@ type Tracer interface {
 	Trace(ev TraceEvent)
 }
 
-// NopTracer discards every event. It is the behaviour of an arena with
-// no tracer set; the type exists so a tracer can be explicitly disabled
-// in configuration tables.
-type NopTracer struct{}
-
-// Trace implements Tracer by doing nothing.
-func (NopTracer) Trace(TraceEvent) {}
-
-// SetTracer installs t as the arena's tracer (nil removes it). Safe to
-// call concurrently with running work; events already in flight may
-// still be delivered to the previous tracer.
-//
-// Prefer WithTracer at construction when the tracer exists before the
-// arena does — it then sees every event from the traditional region's
-// creation on. SetTracer remains fully supported (not deprecated) for
-// tracers that need the arena handle to construct, and for swapping
-// tracers mid-life.
-func (a *Arena) SetTracer(t Tracer) {
-	if t == nil {
-		a.tracer.Store(nil)
-		return
-	}
-	a.tracer.Store(&tracerBox{t: t})
-}
-
-// tracerBox boxes the Tracer interface so the arena can hold it in an
-// atomic.Pointer (interfaces cannot be stored atomically themselves).
-type tracerBox struct{ t Tracer }
-
 // traceEvent delivers a lifecycle event for r to the arena's tracer, if
 // one is set. Callers must not hold r.mu: tracers may call back into the
 // runtime.
 func (a *Arena) traceEvent(kind TraceKind, r *Region) {
-	b := a.tracer.Load()
-	if b == nil {
+	if a.tracer == nil {
 		return
 	}
 	var parent int64
 	if r.parent != nil {
 		parent = r.parent.id
 	}
-	b.t.Trace(TraceEvent{
+	a.tracer.Trace(TraceEvent{
 		Kind:       kind,
 		Region:     r.id,
 		Parent:     parent,
@@ -318,10 +290,8 @@ func (t *RingTracer) TraceStats() TraceStats {
 // traceStats returns the installed tracer's ring statistics, if it
 // exposes any.
 func (a *Arena) traceStats() (TraceStats, bool) {
-	if b := a.tracer.Load(); b != nil {
-		if ts, ok := b.t.(interface{ TraceStats() TraceStats }); ok {
-			return ts.TraceStats(), true
-		}
+	if ts, ok := a.tracer.(interface{ TraceStats() TraceStats }); ok {
+		return ts.TraceStats(), true
 	}
 	return TraceStats{}, false
 }
@@ -330,10 +300,8 @@ func (a *Arena) traceStats() (TraceStats, bool) {
 // RingTracer's, or anything else with an Events method — for the debug
 // inspector's /trace endpoint.
 func (a *Arena) traceEvents() ([]TraceEvent, bool) {
-	if b := a.tracer.Load(); b != nil {
-		if ev, ok := b.t.(interface{ Events() []TraceEvent }); ok {
-			return ev.Events(), true
-		}
+	if ev, ok := a.tracer.(interface{ Events() []TraceEvent }); ok {
+		return ev.Events(), true
 	}
 	return nil, false
 }

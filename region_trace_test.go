@@ -24,8 +24,7 @@ type traceNode struct {
 func TestCountersExactUnderConcurrency(t *testing.T) {
 	const workers = 8
 	const iters = 400
-	a := NewArena()
-	a.EnableMetrics()
+	a := NewArena(WithMetrics())
 
 	shared := a.NewRegion()
 	tobj := Alloc[traceNode](shared)
@@ -95,10 +94,8 @@ func TestCountersExactUnderConcurrency(t *testing.T) {
 func TestLifecycleCountersAndTracerExact(t *testing.T) {
 	const workers = 8
 	const rounds = 100
-	a := NewArena()
-	a.EnableMetrics()
 	ring := NewRingTracer(1 << 14)
-	a.SetTracer(ring)
+	a := NewArena(WithMetrics(), WithTracer(ring))
 
 	c0 := a.Counters()
 	var wg sync.WaitGroup
@@ -137,7 +134,7 @@ func TestLifecycleCountersAndTracerExact(t *testing.T) {
 
 	// Per odd round: 2 created, 1 blocked, 1 explicit delete (sub),
 	// 1 deferral, 2 reclaims. Per even round: 2 created, 2 deletes,
-	// 2 reclaims.
+	// 2 reclaims. The tracer also saw the traditional region's creation.
 	half := int64(workers * rounds / 2)
 	d := a.Counters()
 	for _, chk := range []struct {
@@ -166,7 +163,7 @@ func TestLifecycleCountersAndTracerExact(t *testing.T) {
 	}
 
 	wantEvents := map[TraceKind]uint64{
-		TraceRegionCreated:   uint64(2 * workers * rounds),
+		TraceRegionCreated:   uint64(1 + 2*workers*rounds),
 		TraceRegionDeleted:   uint64(3 * half),
 		TraceDeleteBlocked:   uint64(half),
 		TraceRegionDeferred:  uint64(half),

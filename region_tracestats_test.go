@@ -13,10 +13,8 @@ import (
 // Ring wrap-around is observable: Dropped counts exactly the events
 // overwritten, and TraceStats ties capacity/total/buffered together.
 func TestRingTracerDropCount(t *testing.T) {
-	a := NewArena()
 	ring := NewRingTracer(16) // 16 is also the minimum capacity
-	a.SetTracer(ring)
-	defer a.SetTracer(nil)
+	a := NewArena(WithTracer(ring))
 
 	// Each NewRegion+Delete emits several lifecycle events; churn far
 	// past the ring's capacity.
@@ -39,9 +37,9 @@ func TestRingTracerDropCount(t *testing.T) {
 
 	// A ring sized for the workload drops nothing.
 	big := NewRingTracer(1024)
-	a.SetTracer(big)
+	b := NewArena(WithTracer(big))
 	for i := 0; i < 16; i++ {
-		r := a.NewRegion()
+		r := b.NewRegion()
 		if err := r.Delete(); err != nil {
 			t.Fatal(err)
 		}
@@ -54,10 +52,8 @@ func TestRingTracerDropCount(t *testing.T) {
 // The drop count surfaces through every monitoring channel — the
 // DebugHandler index and /counters JSON, and PublishExpvar.
 func TestTraceStatsSurfaceInDebugAndExpvar(t *testing.T) {
-	a := NewArena()
 	ring := NewRingTracer(4)
-	a.SetTracer(ring)
-	defer a.SetTracer(nil)
+	a := NewArena(WithTracer(ring))
 
 	for i := 0; i < 8; i++ {
 		r := a.NewRegion()
