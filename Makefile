@@ -77,17 +77,14 @@ advise-smoke:
 # A/B harness end-to-end gate: every A/B scenario for one round
 # (internal/exp/ab.go: the fabric, the advisor gate, ownership,
 # blocking acquisition and off-heap slabs, including the live-GC cell)
-# piped through benchlint; the pipeline hand-off example; the
-# contention and slab chaos phases alone under the race detector with
-# the own.handoff and slab.map failpoints armed (the slab phase fails
-# on any leaked page); and a 100-iteration spin of the parallel Alloc
-# benchmarks. One round proves the machinery, not a speedup:
-# BENCH_pr13_ab.json records the real 10-round run.
+# piped through benchlint; the pipeline hand-off example; and a
+# 100-iteration spin of the parallel Alloc benchmarks. One round proves
+# the machinery, not a speedup: BENCH_pr13_ab.json records the real
+# 10-round run. The chaos phases run in chaos-smoke (its own CI job)
+# and, under -race, in the race target's TestChaos.
 ab-smoke:
 	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -ab all | $(GO) run rcgo/cmd/benchlint
 	$(GO) run rcgo/examples/pipeline
-	$(GO) run -race rcgo/cmd/rcchaos -phase contention -seed 1 -workers 4 -conc-ops 300 -q
-	$(GO) run -race rcgo/cmd/rcchaos -phase slab -seed 1 -workers 4 -conc-ops 300 -q
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc' -benchtime 100x -cpu 2 .
 
 # Documentation anchor gate: every path named in ARCHITECTURE.md's
@@ -98,9 +95,10 @@ docs-check:
 
 # Chaos harness under the race detector: a seeded sequential phase
 # checked op-by-op against the reference model of the delete state
-# machine, then concurrent scheduler-perturbation and error-injection
-# phases with failpoints armed, a zombie watchdog patrolling, and
-# Arena.Audit required clean at every quiesce point. Override the knobs:
+# machine, then every concurrent phase of internal/chaos's phase table
+# with its failpoints armed, each held at quiesce to the same judge
+# (clean Arena.Audit, exact counter identities, no drain healed
+# silently). Override the knobs:
 #
 #	make chaos CHAOS_SEED=7 CHAOS_SEQ_OPS=50000 CHAOS_WORKERS=16 CHAOS_CONC_OPS=5000
 CHAOS_SEED     ?= 1

@@ -40,71 +40,39 @@ func TestChaos(t *testing.T) {
 			t.Errorf("site %s never fired", st.Name)
 		}
 	}
-	for _, res := range []chaos.ConcResult{rep.Perturb, rep.Errors} {
-		if !res.Audit.OK {
-			t.Errorf("quiesced audit not clean: %s", res.Audit)
+	// Run's quiesce judges hold every phase to the accounting
+	// identities; these are the floors that prove each phase exercised
+	// its subsystem.
+	ph := rep.Phases
+	for _, name := range []string{"perturb", "errors"} {
+		if ph[name].TraceStats.Total == 0 {
+			t.Errorf("%s: no lifecycle events traced", name)
 		}
-		if res.TraceStats.Total == 0 {
-			t.Error("no lifecycle events traced")
-		}
 	}
-	if !rep.AllocChurn.Audit.OK {
-		t.Errorf("alloc-churn quiesced audit not clean: %s", rep.AllocChurn.Audit)
+	if c := ph["alloc-churn"].Counters; c.Allocs == 0 || c.AllocFlushes == 0 {
+		t.Errorf("alloc-churn phase inert: allocs=%d flushes=%d", c.Allocs, c.AllocFlushes)
 	}
-	if rep.AllocChurn.AllocSuccesses == 0 || rep.AllocChurn.AllocFlushes == 0 {
-		t.Errorf("alloc-churn phase inert: allocs=%d flushes=%d",
-			rep.AllocChurn.AllocSuccesses, rep.AllocChurn.AllocFlushes)
-	}
-	if !rep.Fabric.Audit.OK {
-		t.Errorf("fabric quiesced audit not clean: %s", rep.Fabric.Audit)
-	}
-	if rep.Fabric.AllocSuccesses == 0 {
+	fabric := ph["fabric"]
+	if fabric.Counters.Allocs == 0 {
 		t.Error("fabric phase allocated nothing")
 	}
-	if rep.Fabric.ShardsPopulated < 2 {
-		t.Errorf("fabric phase populated %d shard(s), want >= 2", rep.Fabric.ShardsPopulated)
+	if fabric.ShardsPopulated < 2 {
+		t.Errorf("fabric phase populated %d shard(s), want >= 2", fabric.ShardsPopulated)
 	}
 	wantLive := int64(cfg.Workers * 32) // each worker's ring, still live at quiesce entry
-	if rep.Fabric.LiveBeforeQuiesce < wantLive {
+	if fabric.LiveBeforeQuiesce < wantLive {
 		t.Errorf("fabric phase had %d regions live before quiesce, want >= %d",
-			rep.Fabric.LiveBeforeQuiesce, wantLive)
+			fabric.LiveBeforeQuiesce, wantLive)
 	}
-	if !rep.Ownership.Audit.OK {
-		t.Errorf("ownership quiesced audit not clean: %s", rep.Ownership.Audit)
+	if c := ph["ownership"].Counters; c.Acquires == 0 || c.OwnerFlushes == 0 {
+		t.Errorf("ownership phase inert: acquires=%d owner flushes=%d", c.Acquires, c.OwnerFlushes)
 	}
-	if rep.Ownership.Acquires == 0 || rep.Ownership.Acquires != rep.Ownership.Releases {
-		t.Errorf("ownership phase imbalanced: acquires=%d releases=%d",
-			rep.Ownership.Acquires, rep.Ownership.Releases)
+	if c := ph["contention"].Counters; c.Acquires == 0 || c.AcquireWaits == 0 || c.OwnerRevocations == 0 {
+		t.Errorf("contention phase inert: acquires=%d waits=%d revocations=%d",
+			c.Acquires, c.AcquireWaits, c.OwnerRevocations)
 	}
-	if rep.Ownership.OwnerFlushes == 0 {
-		t.Error("ownership phase never flushed owner-local deltas")
-	}
-	if !rep.Contention.Audit.OK {
-		t.Errorf("contention quiesced audit not clean: %s", rep.Contention.Audit)
-	}
-	if rep.Contention.AcquireWaits == 0 {
-		t.Error("contention phase saw no blocking waits")
-	}
-	if rep.Contention.Acquires == 0 ||
-		rep.Contention.Acquires != rep.Contention.Releases+rep.Contention.Revocations {
-		t.Errorf("contention phase imbalanced: acquires=%d releases=%d revocations=%d",
-			rep.Contention.Acquires, rep.Contention.Releases, rep.Contention.Revocations)
-	}
-	if rep.Contention.Revocations == 0 {
-		t.Error("contention phase never exercised watchdog revocation")
-	}
-	if !rep.Slab.Audit.OK {
-		t.Errorf("slab quiesced audit not clean: %s", rep.Slab.Audit)
-	}
-	if rep.Slab.SlabRefills == 0 {
+	if ph["slab"].Counters.SlabRefills == 0 {
 		t.Error("slab phase never carved a slab-backed chunk")
-	}
-	if rep.Slab.SlabRefills != rep.Slab.SlabReleases {
-		t.Errorf("slab phase page drift: refills=%d releases=%d",
-			rep.Slab.SlabRefills, rep.Slab.SlabReleases)
-	}
-	if rep.Slab.SlabPagesLeaked != 0 {
-		t.Errorf("slab phase leaked %d pages at quiesce", rep.Slab.SlabPagesLeaked)
 	}
 }
 

@@ -1,16 +1,17 @@
 // Command rcchaos runs the chaos harness for the concurrent region
 // runtime (internal/chaos): a seeded sequential phase checked op-by-op
-// against a reference model of the delete state machine, then seven
-// concurrent phases — scheduler perturbation, error injection,
-// allocation churn through the fast path's caches, multi-shard
-// fabric churn with hundreds of live regions, ownership hand-off
-// churn around a token ring, a contention storm of blocking
-// acquirers against one hub region, and off-heap slab churn with
-// injected map failures and immediate page reclaim — with failpoints armed on every
-// instrumented lifecycle edge, a zombie watchdog patrolling (an owner
-// watchdog in the contention phase), and Arena.Audit required clean
-// at every quiesce point.
-// Failpoint site coverage is reported at exit; the run fails if any
+// against a reference model of the delete state machine, then the
+// seven concurrent phases of the harness's phase table — scheduler
+// perturbation, error injection, allocation churn through the fast
+// path's caches, multi-shard fabric churn with hundreds of live
+// regions, ownership hand-off churn around a token ring, a contention
+// storm of blocking acquirers against one hub region, and off-heap
+// slab churn with injected map failures and immediate page reclaim —
+// each with its failpoints armed, and each held at quiesce to the same
+// judge: a clean Arena.Audit, exact counter identities, nothing left
+// alive, and no drained zombie left for the sweep unless the phase
+// injected drain errors. One summary line per phase is printed, and
+// failpoint site coverage is reported at exit; the run fails if any
 // site never fired.
 //
 // Meant to run under the race detector (make chaos):
@@ -27,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"rcgo/internal/chaos"
@@ -56,63 +58,41 @@ func main() {
 		Log:     logf,
 	}
 
-	if *phase != "" {
-		known := false
-		for _, name := range chaos.PhaseNames() {
-			if name == *phase {
-				known = true
-				break
-			}
-		}
-		if !known {
+	var rep *chaos.Report
+	var err error
+	if *phase == "" {
+		rep, err = chaos.Run(cfg)
+	} else {
+		if !slices.Contains(chaos.PhaseNames(), *phase) {
 			fmt.Fprintf(os.Stderr, "rcchaos: unknown phase %q; phases are: %s\n",
 				*phase, strings.Join(chaos.PhaseNames(), ", "))
 			os.Exit(2)
 		}
-		if _, err := chaos.RunPhase(*phase, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "rcchaos: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("rcchaos: PASS — phase %s clean (coverage gate skipped)\n", *phase)
-		return
+		rep, err = chaos.RunPhase(*phase, cfg)
 	}
-
-	rep, err := chaos.Run(cfg)
 
 	fmt.Printf("rcchaos: seed=%d\n", *seed)
-	fmt.Printf("rcchaos: sequential: %d ops, outcomes %v\n", rep.SeqOps, rep.SeqOutcomes)
-	for _, phase := range []struct {
-		name string
-		res  chaos.ConcResult
-	}{{"perturb", rep.Perturb}, {"errors", rep.Errors}} {
-		fmt.Printf("rcchaos: concurrent/%s: %d ops, watchdog flagged=%d healed=%d, swept=%d, audit violations=%d, trace total=%d dropped=%d\n",
-			phase.name, phase.res.Ops, phase.res.WatchdogFlagged, phase.res.WatchdogHealed,
-			phase.res.SweptAtQuiesce, len(phase.res.Audit.Violations),
-			phase.res.TraceStats.Total, phase.res.TraceStats.Dropped)
+	if rep.SeqOutcomes != nil {
+		fmt.Printf("rcchaos: sequential: %d ops, outcomes %v\n", rep.SeqOps, rep.SeqOutcomes)
 	}
-	fmt.Printf("rcchaos: concurrent/alloc-churn: %d ops, allocs=%d flushes=%d, audit violations=%d\n",
-		rep.AllocChurn.Ops, rep.AllocChurn.AllocSuccesses, rep.AllocChurn.AllocFlushes,
-		len(rep.AllocChurn.Audit.Violations))
-	fmt.Printf("rcchaos: concurrent/fabric: %d ops, live-before-quiesce=%d shards-populated=%d allocs=%d, audit violations=%d\n",
-		rep.Fabric.Ops, rep.Fabric.LiveBeforeQuiesce, rep.Fabric.ShardsPopulated,
-		rep.Fabric.AllocSuccesses, len(rep.Fabric.Audit.Violations))
-	fmt.Printf("rcchaos: concurrent/ownership: %d ops, allocs=%d acquires=%d releases=%d flushes=%d, audit violations=%d\n",
-		rep.Ownership.Ops, rep.Ownership.AllocSuccesses, rep.Ownership.Acquires,
-		rep.Ownership.Releases, rep.Ownership.OwnerFlushes, len(rep.Ownership.Audit.Violations))
-	fmt.Printf("rcchaos: concurrent/contention: %d ops, waits=%d timeouts=%d cancels=%d, acquires=%d releases=%d revocations=%d, audit violations=%d\n",
-		rep.Contention.Ops, rep.Contention.AcquireWaits, rep.Contention.AcquireTimeouts,
-		rep.Contention.AcquireCancels, rep.Contention.Acquires, rep.Contention.Releases,
-		rep.Contention.Revocations, len(rep.Contention.Audit.Violations))
-	fmt.Printf("rcchaos: concurrent/slab: %d ops, allocs=%d slab refills=%d releases=%d leaked=%d, audit violations=%d\n",
-		rep.Slab.Ops, rep.Slab.AllocSuccesses, rep.Slab.SlabRefills,
-		rep.Slab.SlabReleases, rep.Slab.SlabPagesLeaked, len(rep.Slab.Audit.Violations))
-	fmt.Println("rcchaos: failpoint site coverage:")
-	for _, st := range rep.Coverage {
-		fmt.Printf("rcchaos:   %-24s evals=%-8d fires=%d\n", st.Name, st.Evals, st.Fires)
+	for _, name := range chaos.PhaseNames() {
+		if res, ok := rep.Phases[name]; ok {
+			fmt.Printf("rcchaos: concurrent/%s: %s\n", name, res.Summary())
+		}
+	}
+	if *phase == "" {
+		fmt.Println("rcchaos: failpoint site coverage:")
+		for _, st := range rep.Coverage {
+			fmt.Printf("rcchaos:   %-24s evals=%-8d fires=%d\n", st.Name, st.Evals, st.Fires)
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rcchaos: FAIL: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("rcchaos: PASS — zero divergences, zero audit violations, full site coverage")
+	if *phase != "" {
+		fmt.Printf("rcchaos: PASS — phase %s clean (coverage gate skipped)\n", *phase)
+		return
+	}
+	fmt.Println("rcchaos: PASS — zero divergences, every quiesce judge passed, full site coverage")
 }

@@ -1,9 +1,8 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
-
-	"rcgo/internal/failpoint"
 )
 
 // The sequential engine with no failpoints must track the runtime
@@ -74,124 +73,85 @@ func TestSequentialDeterminism(t *testing.T) {
 	}
 }
 
-func TestConcurrentPhases(t *testing.T) {
-	ops := 400
-	if testing.Short() {
-		ops = 150
-	}
-	for _, perturb := range []bool{true, false} {
-		res, err := RunConc(ConcConfig{
-			Seed: 3, Workers: 4, Ops: ops,
-			Rules: ConcRules(3, perturb),
-		})
-		if err != nil {
-			t.Fatalf("perturb=%v: %v", perturb, err)
-		}
-		if !res.Audit.OK {
-			t.Fatalf("perturb=%v: audit: %s", perturb, res.Audit)
-		}
-		if res.TraceStats.Total == 0 {
-			t.Fatalf("perturb=%v: no lifecycle events traced", perturb)
-		}
-	}
-}
-
-// The alloc-churn phase must keep exact allocation accounting (arena
-// Allocs == worker-observed successes, LiveObjects 0, audit clean)
-// while refills are refused and regions are deleted mid-allocation.
-func TestAllocChurnPhase(t *testing.T) {
-	ops := 2000
-	if testing.Short() {
-		ops = 500
-	}
-	res, err := RunAllocChurn(ConcConfig{
-		Seed: 5, Workers: 4, Ops: ops,
-		Rules: AllocChurnRules(5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audit.OK {
-		t.Fatalf("audit: %s", res.Audit)
-	}
-	if res.AllocSuccesses == 0 {
-		t.Fatal("no successful allocations — churn phase exercised nothing")
-	}
-	if res.AllocFlushes == 0 {
-		t.Fatal("no delta flushes — the batched counter path never engaged")
-	}
-}
-
-// The ownership phase must keep the flush-at-release exactness
-// contract (arena Allocs == worker-observed owned-path successes,
-// Acquires == Releases, OwnedRegions 0, audit clean) while tokens churn
-// around the hand-off ring with injected release failures, and every
-// shared-path probe against a held region must fail ErrRegionOwned.
-func TestOwnershipPhase(t *testing.T) {
-	ops := 400
-	if testing.Short() {
-		ops = 150
-	}
-	res, err := RunOwnership(ConcConfig{
-		Seed: 9, Workers: 4, Ops: ops,
-		Rules: OwnershipRules(9),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audit.OK {
-		t.Fatalf("audit: %s", res.Audit)
-	}
-	if res.Acquires == 0 {
-		t.Fatal("no acquisitions — ownership phase exercised nothing")
-	}
-	if res.OwnerFlushes == 0 {
-		t.Fatal("no owner flushes — the owned-path metric deltas never merged")
-	}
-	if res.TraceStats.Total == 0 {
-		t.Fatal("no lifecycle events traced")
-	}
-}
-
-// The contention phase must keep the acquisition ledger exact
-// (Acquires == Releases + Revocations, zero leaked waiters, audit
-// clean) while the own.handoff failpoint refuses hand-offs and the
-// owner watchdog force-revokes abandoned tokens.
-func TestContentionPhase(t *testing.T) {
-	ops := 400
-	if testing.Short() {
-		ops = 150
-	}
-	res, err := RunContention(ConcConfig{
-		Seed: 13, Workers: 4, Ops: ops,
-		Rules: ContentionRules(13),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audit.OK {
-		t.Fatalf("audit: %s", res.Audit)
-	}
-	if res.AcquireWaits == 0 {
-		t.Fatal("no blocking waits — contention phase exercised nothing")
-	}
-	if res.Acquires == 0 || res.Acquires != res.Releases+res.Revocations {
-		t.Fatalf("ledger: acquires=%d releases=%d revocations=%d",
-			res.Acquires, res.Releases, res.Revocations)
-	}
-}
-
-// RunPhase reruns any single phase by name with the same seed offsets
-// as the full run, and rejects unknown names with the phase list.
+// Every phase runs through the one entry point: first at the smallest
+// scale a full run uses, then each concurrent phase at its own scale
+// with the floors that prove it exercised its subsystem (RunPhase's own
+// judge holds the accounting identities). Unknown names are rejected
+// with the phase list.
 func TestRunPhase(t *testing.T) {
+	scale := func(full, short int) int {
+		if testing.Short() {
+			return short
+		}
+		return full
+	}
+	traced := func(r ConcResult) error {
+		if r.TraceStats.Total == 0 {
+			return fmt.Errorf("no lifecycle events traced")
+		}
+		return nil
+	}
+	rows := map[string]struct {
+		seed  int64 // Config.Seed; the phase seed adds the phase's offset
+		ops   int
+		floor func(ConcResult) error
+	}{
+		"perturb": {2, scale(400, 150), traced},
+		"errors":  {1, scale(400, 150), traced},
+		"alloc-churn": {2, scale(2000, 500), func(r ConcResult) error {
+			if r.Counters.Allocs == 0 || r.Counters.AllocFlushes == 0 {
+				return fmt.Errorf("churn inert: allocs=%d flushes=%d", r.Counters.Allocs, r.Counters.AllocFlushes)
+			}
+			return nil
+		}},
+		"fabric": {3, scale(400, 150), func(r ConcResult) error {
+			if r.Counters.Allocs == 0 || r.ShardsPopulated < 2 || r.LiveBeforeQuiesce < 4*32 {
+				return fmt.Errorf("fabric inert: %d allocs, %d regions live on %d shards",
+					r.Counters.Allocs, r.LiveBeforeQuiesce, r.ShardsPopulated)
+			}
+			return nil
+		}},
+		"ownership": {4, scale(400, 150), func(r ConcResult) error {
+			if r.Counters.Acquires == 0 || r.Counters.OwnerFlushes == 0 {
+				return fmt.Errorf("ownership inert: acquires=%d owner flushes=%d",
+					r.Counters.Acquires, r.Counters.OwnerFlushes)
+			}
+			return traced(r)
+		}},
+		"contention": {7, scale(400, 150), func(r ConcResult) error {
+			if r.Counters.Acquires == 0 || r.Counters.AcquireWaits == 0 {
+				return fmt.Errorf("contention inert: acquires=%d waits=%d",
+					r.Counters.Acquires, r.Counters.AcquireWaits)
+			}
+			return nil
+		}},
+		"slab": {6, scale(400, 150), func(r ConcResult) error {
+			if r.Counters.SlabRefills == 0 {
+				return fmt.Errorf("no slab-backed chunk")
+			}
+			return nil
+		}},
+	}
 	for _, name := range PhaseNames() {
-		rep, err := RunPhase(name, Config{Seed: 2, SeqOps: 500, Workers: 2, ConcOps: 60})
-		if err != nil {
-			t.Fatalf("phase %s: %v", name, err)
-		}
-		if rep == nil {
-			t.Fatalf("phase %s: nil report", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := RunPhase(name, Config{Seed: 2, SeqOps: 500, Workers: 2, ConcOps: 60}); err != nil {
+				t.Fatalf("small scale: %v", err)
+			}
+			row, ok := rows[name]
+			if !ok {
+				if name != "seq" {
+					t.Fatalf("phase %s has no real-scale row", name)
+				}
+				return
+			}
+			rep, err := RunPhase(name, Config{Seed: row.seed, Workers: 4, ConcOps: row.ops})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := row.floor(rep.Phases[name]); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	if _, err := RunPhase("no-such-phase", Config{Seed: 1}); err == nil {
 		t.Fatal("unknown phase accepted")
@@ -209,5 +169,3 @@ func fires(t *testing.T) map[string]uint64 {
 	}
 	return out
 }
-
-var _ = failpoint.Snapshot // keep the import obvious; Snapshot backs fires()

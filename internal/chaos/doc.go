@@ -1,35 +1,43 @@
 // Package chaos is the randomized robustness harness for the
 // concurrent region runtime: seeded workloads driven against the real
 // Arena with failpoints (internal/failpoint) armed on every
-// instrumented lifecycle edge, and Arena.Audit required clean at every
-// quiesce point.
+// instrumented lifecycle edge, and every quiesce point judged.
 //
-// A full run (Run) is four phases, each with a derived seed so a
-// single top-level seed reproduces everything:
+// A full run (Run) is a sequential phase followed by the concurrent
+// phases of one table, each with a seed derived from the top-level
+// seed, so a single seed reproduces everything:
 //
-//  1. Sequential, model-checked: a single goroutine performs random
-//     lifecycle operations while every outcome — success or specific
-//     error — is checked op-by-op against a pure reference model of
-//     the delete state machine (model.go). Failpoints here are
-//     restricted to rules whose evaluation streams are deterministic
-//     for a fixed seed, so two runs with the same seed must produce
-//     identical traces (TestSequentialDeterminism).
-//  2. Concurrent perturbation: workers race allocations, stores,
-//     pins and deletes while yield/delay rules widen the runtime's
-//     race windows. No errors are injected; the phase must quiesce
-//     with an exact audit.
-//  3. Concurrent error injection: the same workload with error rules
-//     armed, checking that injected failures surface as wrapped
-//     ErrInjected returns and never corrupt counters or leak regions.
-//  4. Allocation churn: workers hammer TryAlloc through the
-//     allocation fast path (region_alloccache.go) against region
-//     recycling, with the rcgo/alloc.refill site armed for both
-//     errors and yields; at quiesce, worker-counted successes must
-//     equal the arena's metrics exactly and the audit must be clean —
-//     the end-to-end proof that batched counter deltas never drift.
+//   - Sequential, model-checked (model.go): a single goroutine performs
+//     random lifecycle operations while every outcome — success or
+//     specific error — is checked op-by-op against a pure reference
+//     model of the delete and ownership state machine. Failpoints here
+//     are restricted to rules whose evaluation streams are
+//     deterministic for a fixed seed, so two runs with the same seed
+//     must produce identical traces (TestSequentialDeterminism).
+//   - Concurrent (concurrent.go): the phases table holds seven entries —
+//     perturb, errors, alloc-churn, fabric, ownership, contention and
+//     slab. An entry names the phase and carries its seed offset, its
+//     failpoint rules, its NewArena options, and a setup that builds
+//     its shared state and returns its worker body, its teardown and
+//     any judges of its own.
+//
+// One core runs every concurrent phase: it arms the rules, spawns the
+// workers (each with its own seeded rng and one shared first-error
+// sink that never blocks), disarms, tears down, stops the watchdogs
+// and samplers the setup started, and sweeps lost drains. One judge
+// then holds every phase to the same identities: a clean Audit; the
+// arena's Allocs equal to the workers' own count of successful
+// allocations; Acquires == Releases + OwnerRevocations; SlabRefills ==
+// SlabReleases; nothing alive but the traditional region, no zombie,
+// owner or parked waiter left; the advisor table equal to the
+// workers' store counts whenever the arena has the advisor; and no
+// drained zombie left for the quiesce sweep unless the phase's rules
+// inject drain errors — a lost drain is a failure, not something the
+// sweep heals silently.
 //
 // Coverage is part of the gate: a run fails if any rcgo/* failpoint
-// site never fired. cmd/rcchaos is the command-line front end;
+// site never fired. RunPhase reruns one phase by name with the seed it
+// gets inside Run. cmd/rcchaos is the command-line front end;
 // chaos_test.go and the FuzzDeleteStateMachine target run the same
 // engine in-process.
 package chaos

@@ -893,7 +893,7 @@ func RandomOps(seed int64, n int) []Op {
 // depends on chunk-pool and GC state (a refill only happens when the
 // pool comes up empty), so an error rule there would make the injected
 // outcome counts irreproducible across same-seed runs. Its error path
-// is exercised by the concurrent alloc-churn phase (AllocChurnRules)
+// is exercised by the concurrent alloc-churn phase (concurrent.go)
 // and by unit tests instead.
 func SeqRules(seed uint64) map[string]failpoint.Rule {
 	return map[string]failpoint.Rule{
