@@ -18,6 +18,11 @@
 //	GOMAXPROCS=2 rcbench -json -reps 10 -workloads moss -ab all   # record a report with an ab section
 //
 // The A/B scenarios run with as many workers as GOMAXPROCS (internal/exp/ab.go).
+// A report covering several cpu counts is one run per GOMAXPROCS with
+// the runs' ab arrays concatenated:
+//
+//	jq -s '(.[0].ab + .[1].ab) as $ab | .[1] | .ab = $ab' cpu1.json cpu2.json
+//
 // With -json the human tables are skipped (-table/-figure/-space/-bars
 // are ignored) and a single exp.BenchReport document — schema
 // "rcgo.bench/2", see internal/exp/json.go — is written to stdout, for

@@ -1215,6 +1215,9 @@ func slabSetup(e *env) phaseRun {
 				ss.InUsePages, c.SlabRefills, c.SlabReleases)
 		case c.SlabRefills == 0:
 			return fmt.Errorf("slab phase inert: no chunk was ever slab-backed")
+		case c.SlabRefills <= ss.CarvedPages:
+			return fmt.Errorf("slab phase never recycled a page: %d refills from %d carved pages",
+				c.SlabRefills, ss.CarvedPages)
 		}
 		if err := a.CloseBackingStore(); err != nil {
 			return fmt.Errorf("quiesce: close backing store: %w", err)

@@ -396,12 +396,19 @@ func acquireCycle(blocking bool) abBody {
 }
 
 // slabBatch is the slab build loop: allocate the pointer-free payload
-// into a private region, deleting it every batch allocations.
-func slabBatch(batch int) abBody {
+// into a private region, deleting it every batch allocations. With
+// links, each payload follows a pointer-carrying abNode in the same
+// region (GC-heap chunked on both sides), so every region allocates two
+// types alternately, the way grobner interleaves terms and
+// coefficients.
+func slabBatch(batch int, links bool) abBody {
 	return func(a *rcgo.Arena, _ *rcgo.Region, iters int) error {
 		r := a.NewRegion()
 		n := 0
 		for i := 0; i < iters; i++ {
+			if links {
+				rcgo.Alloc[abNode](r)
+			}
 			o := rcgo.Alloc[slabBench](r)
 			o.Value.K, o.Value.V = int64(i), int64(n)
 			if n++; n == batch {
@@ -483,9 +490,10 @@ func abScenarios(cpu int, store rcgo.BackingStore) []abScenario {
 			sideSpec{plain, 1, acquireCycle(false)}, sideSpec{plain, two, acquireCycle(true)}},
 		// slab: GC-heap chunks vs the slab store; the last cell leaves the
 		// collector live to measure what the others quiesce away.
-		{"slab-alloc", "slab", work(400_000), q, side(plain, slabBatch(1<<20)), side(slabs, slabBatch(1<<20))},
-		{"slab-build-delete", "slab", work(600_000), q, side(plain, slabBatch(64)), side(slabs, slabBatch(64))},
-		{"slab-gc-pressure", "slab", work(1_500_000), GCLive, side(plain, slabBatch(64)), side(slabs, slabBatch(64))},
+		{"slab-alloc", "slab", work(400_000), q, side(plain, slabBatch(1<<20, false)), side(slabs, slabBatch(1<<20, false))},
+		{"slab-build-delete", "slab", work(600_000), q, side(plain, slabBatch(64, false)), side(slabs, slabBatch(64, false))},
+		{"slab-interleaved", "slab", work(300_000), q, side(plain, slabBatch(512, true)), side(slabs, slabBatch(512, true))},
+		{"slab-gc-pressure", "slab", work(1_500_000), GCLive, side(plain, slabBatch(64, false)), side(slabs, slabBatch(64, false))},
 	}
 }
 

@@ -123,7 +123,7 @@ func TestSelectAB(t *testing.T) {
 	}
 	want := "fabric-parallel-alloc fabric-parallel-alloc-setsame fabric-parallel-delete " +
 		"parallel-setsame parallel-setref own-alloc-setsame own-build-delete own-setref " +
-		"acquire-fastpath contend-handoff slab-alloc slab-build-delete slab-gc-pressure"
+		"acquire-fastpath contend-handoff slab-alloc slab-build-delete slab-interleaved slab-gc-pressure"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("all = %q\nwant %q", got, want)
 	}
@@ -131,7 +131,7 @@ func TestSelectAB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(some) != 4 || some[0].name != "own-setref" || some[1].name != "slab-alloc" {
+	if len(some) != 5 || some[0].name != "own-setref" || some[1].name != "slab-alloc" {
 		t.Fatalf("slab,own-setref selected %d scenarios starting %q", len(some), some[0].name)
 	}
 	for _, bad := range []string{"", " , ", "nope", "slab,nope"} {
@@ -195,6 +195,11 @@ func TestValidate(t *testing.T) {
 		{"workload ran nothing", func(r *BenchReport) { r.Workloads[0].Allocs = 0 }, "did not run"},
 		{"duplicate workload", func(r *BenchReport) { r.Workloads = append(r.Workloads, r.Workloads[0]) }, "twice"},
 		{"duplicate cell", func(r *BenchReport) { r.AB = append(r.AB, r.AB[0]) }, "twice"},
+		{"same cell at another cpu", func(r *BenchReport) {
+			c := r.AB[0]
+			c.CPU, c.Base.Workers, c.Treat.Workers = 1, 1, 1
+			r.AB = append(r.AB, c)
+		}, ""},
 		{"wins beyond rounds", func(r *BenchReport) { r.AB[0].Wins = 11 }, "wins"},
 		{"unordered quartiles", func(r *BenchReport) { r.AB[0].Treat.P25 = 81 }, "quartiles"},
 		{"non-positive quartile", func(r *BenchReport) { r.AB[0].Base.P25 = 0 }, "quartiles"},

@@ -117,10 +117,11 @@ func (s ABSide) iqrPct() float64 { return 100 * (s.P75 - s.P25) / s.P50 }
 // Validate checks the invariants every rcgo.bench/2 document must
 // satisfy and returns the first violation: the schema tag; at least one
 // workload, uniquely named, with positive times, non-negative counters,
-// a non-zero allocation and store total; and per A/B cell a unique
-// name, a sane geometry, ordered positive quartiles, wins within
-// rounds, a GC bracket exactly on live cells, and a delta whose sign
-// agrees with the medians unless it lies inside both sides' noise band.
+// a non-zero allocation and store total; and per A/B cell a name
+// unique at its cpu count, a sane geometry, ordered positive
+// quartiles, wins within rounds, a GC bracket exactly on live cells,
+// and a delta whose sign agrees with the medians unless it lies inside
+// both sides' noise band.
 func (r *BenchReport) Validate() error {
 	if r.Schema != BenchSchema {
 		return fmt.Errorf("schema %q, want %q", r.Schema, BenchSchema)
@@ -144,15 +145,22 @@ func (r *BenchReport) Validate() error {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 	}
-	seen = make(map[string]bool)
+	// A report may carry one scenario at several cpu counts (one run
+	// per GOMAXPROCS, merged), but each count at most once.
+	type cellKey struct {
+		name string
+		cpu  int
+	}
+	seenCell := make(map[cellKey]bool)
 	for i, c := range r.AB {
 		if c.Name == "" {
 			return fmt.Errorf("ab cell %d has no name", i)
 		}
-		if seen[c.Name] {
-			return fmt.Errorf("ab cell %q appears twice", c.Name)
+		k := cellKey{c.Name, c.CPU}
+		if seenCell[k] {
+			return fmt.Errorf("ab cell %q at cpu %d appears twice", c.Name, c.CPU)
 		}
-		seen[c.Name] = true
+		seenCell[k] = true
 		if err := c.validate(); err != nil {
 			return fmt.Errorf("%s: %w", c.Name, err)
 		}

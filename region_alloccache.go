@@ -32,16 +32,17 @@ import (
 //     allocation. A partially-used chunk parks in a per-region slot
 //     (Region.chunkPark — it used to be an arena-wide slot array, which
 //     made concurrent single-type regions displace each other's chunks
-//     and bounce the shared slot words; see DESIGN.md §12) and is
-//     shared in place: allocators claim indices off its atomic cursor,
-//     so steady state is one load plus one fetch-add and the slot word
-//     is written only at refill or exhaustion. Parked chunks are strong
-//     references, so unlike a bare sync.Pool the cache survives GC
-//     cycles under allocation churn. The sync.Pool, shared per type
-//     across the whole process, is the second level, touched only on
-//     slot misses; reclaim returns a region's parked chunks to their
-//     pools so the chunk capacity outlives the region. Oversized types
-//     bypass chunking.
+//     and bounce the shared slot words; see DESIGN.md §12) picked by
+//     object size, so a region interleaving a few types keeps a chunk
+//     of each parked. A parked chunk is shared in place: allocators
+//     claim indices off its atomic cursor, so steady state is one load
+//     plus one fetch-add and the slot word is written only at refill or
+//     exhaustion. Parked chunks are strong references, so unlike a bare
+//     sync.Pool the cache survives GC cycles under allocation churn.
+//     The sync.Pool, shared per type across the whole process, is the
+//     second level, touched only on slot misses; reclaim returns a
+//     region's parked chunks to their pools so the chunk capacity
+//     outlives the region. Oversized types bypass chunking.
 //
 // Why exact-at-quiesce still holds (the increment-then-validate
 // argument, same shape as incRC): an allocation publishes its +1 delta
@@ -257,19 +258,26 @@ type chunkBox struct{ c chunkRef }
 
 type chunkRef interface{ release() }
 
-// chunkParkSlots is the number of parking slots per region
+// chunkParkSlotBits is log2 of the number of parking slots per region
 // (Region.chunkPark). Slots are picked by object size, so a region
 // allocating a handful of distinct types keeps a chunk of each parked
 // simultaneously instead of thrashing one slot; the paper's common case
 // (one goroutine, one type per region) uses exactly one slot and
 // reclaims its own chunk with no pool traffic.
-const chunkParkSlots = 4
+const chunkParkSlotBits = 2
 
-// chunkParkSlot picks the region parking slot for an object size by the
-// same Fibonacci hash the delta shards use.
+const chunkParkSlots = 1 << chunkParkSlotBits
+
+// chunkParkSlot picks the region parking slot for an object size by
+// Fibonacci hashing: the slot is the *top* chunkParkSlotBits bits of
+// size * 2^64/φ. It must not take the low bits of the high word, as the
+// address hashes above do: those pick the same slot for every size 8 to
+// 128 B, so two interleaved types would evict each other's chunk on
+// every switch. Over the 8-byte multiples up to 512 B the slots fill
+// 12/17/16/19. Called with unsafe.Sizeof, the slot is a compile-time
+// constant per Obj instantiation.
 func chunkParkSlot(size uintptr) int {
-	h := size * 0x9E3779B97F4A7C15 >> 32
-	return int(h % chunkParkSlots)
+	return int(uint64(size) * 0x9E3779B97F4A7C15 >> (64 - chunkParkSlotBits))
 }
 
 // chunkPools maps an Obj instantiation (keyed by a nil *T, which boxes

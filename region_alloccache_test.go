@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"rcgo/internal/failpoint"
 )
@@ -308,5 +309,44 @@ func TestAllocOversizedBypassesChunks(t *testing.T) {
 	}
 	if got := a.LiveObjects(); got != 0 {
 		t.Fatalf("LiveObjects = %d, want 0", got)
+	}
+}
+
+// termShape and coefShape mirror a region that interleaves two small
+// types, like grobner's list terms and their coefficients: a
+// pointer-carrying one (32 B Obj) and a pointer-free one (40 B Obj, so
+// slab-backed when the arena has a backing store).
+type termShape struct {
+	val  int64
+	next Ref[termShape]
+}
+
+type coefShape struct{ c [4]int64 }
+
+// Park slots must depend on the object size: two small types get
+// different slots, and the small sizes spread over every slot, so a
+// region allocating a few types keeps one chunk of each parked.
+func TestChunkParkSlotSpread(t *testing.T) {
+	pairs := [][2]uintptr{
+		{24, 40},
+		{unsafe.Sizeof(Obj[termShape]{}), unsafe.Sizeof(Obj[coefShape]{})},
+	}
+	for _, p := range pairs {
+		if s := chunkParkSlot(p[0]); s == chunkParkSlot(p[1]) {
+			t.Errorf("%d B and %d B objects share park slot %d", p[0], p[1], s)
+		}
+	}
+	var used [chunkParkSlots]int
+	for size := uintptr(8); size <= 128; size += 8 {
+		s := chunkParkSlot(size)
+		if s < 0 || s >= chunkParkSlots {
+			t.Fatalf("chunkParkSlot(%d) = %d, outside [0, %d)", size, s, chunkParkSlots)
+		}
+		used[s]++
+	}
+	for s, n := range used {
+		if n == 0 {
+			t.Errorf("no size in 8..128 B parks in slot %d of %d (spread %v)", s, chunkParkSlots, used)
+		}
 	}
 }

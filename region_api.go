@@ -156,9 +156,11 @@ type Region struct {
 	// chunkPark parks this region's partially-used allocation chunks
 	// between allocations (region_alloccache.go): a strong-reference
 	// level-one cache in front of the per-type sync.Pools, shared in
-	// place through each chunk's atomic cursor. Per-region (it used to
-	// be arena-wide) so concurrent single-type regions never displace
-	// each other's chunks; reclaim returns parked chunks to their pools.
+	// place through each chunk's atomic cursor. The slot is a function
+	// of the object size (chunkParkSlot), so a region allocating a few
+	// types keeps one chunk of each parked. Per-region (it used to be
+	// arena-wide) so concurrent single-type regions never displace each
+	// other's chunks; reclaim returns parked chunks to their pools.
 	chunkPark [chunkParkSlots]atomic.Pointer[chunkBox]
 
 	// waitq is the FIFO queue of parked AcquireContext contenders

@@ -4,8 +4,9 @@ package rcgo
 // (region_slab.go): the pointer-free admission gate, page return at
 // reclaim, the error paths' unwrap chains (injected map failures,
 // refusing and capped stores, use after close), close idempotence, the
-// /slabs inspector endpoint, the slab audit rules, and a churn stress
-// whose judge is zero leaked pages (run under -race by make race).
+// /slabs inspector endpoint, the slab audit rules, a region that
+// interleaves two types, and a churn stress whose judge is zero leaked
+// pages (run under -race by make race).
 
 import (
 	"encoding/json"
@@ -345,6 +346,73 @@ func TestSlabTraceKindsRoundTrip(t *testing.T) {
 		} else if back != kind {
 			t.Errorf("UnmarshalText(%q) = %d, want %d", want, back, kind)
 		}
+	}
+}
+
+// A region alternating a pointer-carrying type with a pointer-free one
+// keeps both chunks parked in their own slots, so the slab side carves
+// one page per chunk's worth of coefficients, not one page per type
+// switch.
+func TestSlabInterleavedTypesShareNoSlot(t *testing.T) {
+	a := NewArena(WithOffHeapSlabs(), WithMetrics())
+	defer a.CloseBackingStore()
+	r := a.NewRegion()
+
+	perChunk := chunkTargetBytes / int(unsafe.Sizeof(Obj[coefShape]{}))
+	n := 3*perChunk + 1
+	for i := 0; i < n; i++ {
+		Alloc[termShape](r).Value.val = int64(i)
+		Alloc[coefShape](r).Value.c[0] = int64(i)
+	}
+	want := int64((n + perChunk - 1) / perChunk)
+	if got := a.Counters().SlabRefills; got != want {
+		t.Fatalf("SlabRefills = %d for %d interleaved coefficients, want %d (one page per %d)", got, n, want, perChunk)
+	}
+	if got := r.slabPageCount(); got != want {
+		t.Fatalf("region tracks %d slab pages, want %d", got, want)
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	c := a.Counters()
+	if c.SlabReleases != want {
+		t.Fatalf("SlabReleases = %d after delete, want %d", c.SlabReleases, want)
+	}
+	if ss, _ := a.SlabStats(); ss.InUsePages != 0 {
+		t.Fatalf("InUsePages = %d after delete, want 0", ss.InUsePages)
+	}
+}
+
+// The heap-only twin: with no backing store both types take GC-heap
+// chunks, and each type switch must leave the other type's chunk parked
+// where it was rather than displacing it to its pool.
+func TestHeapInterleavedTypesStayParked(t *testing.T) {
+	a := NewArena()
+	r := a.NewRegion()
+	termSlot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[termShape]{}))]
+	coefSlot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[coefShape]{}))]
+
+	Alloc[termShape](r)
+	Alloc[coefShape](r)
+	term, coef := termSlot.Load(), coefSlot.Load()
+	if term == nil || coef == nil {
+		t.Fatal("the first switch left a park slot empty")
+	}
+	if _, ok := term.c.(*objChunk[termShape]); !ok {
+		t.Fatalf("term slot holds %#v after the first switch, want the term chunk", term)
+	}
+	if _, ok := coef.c.(*objChunk[coefShape]); !ok {
+		t.Fatalf("coef slot holds %#v after the first switch, want the coef chunk", coef)
+	}
+	for i := 0; i < 100; i++ {
+		Alloc[termShape](r)
+		Alloc[coefShape](r)
+		if termSlot.Load() != term || coefSlot.Load() != coef {
+			t.Fatalf("switch %d displaced a parked chunk", i)
+		}
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
 	}
 }
 
