@@ -356,6 +356,51 @@ func benchParallelAlloc(b *testing.B, link bool) {
 	})
 }
 
+// reqNode is one object of BenchmarkRegionRequest's request: two
+// sameregion links and two counted ones, one kept inside the request
+// and one into the long-lived server region.
+type reqNode struct {
+	next, peer Ref[reqNode] // sameregion
+	link       Ref[reqNode] // counted, inside the request region
+	conf       Ref[reqNode] // counted, into the server region
+}
+
+// BenchmarkRegionRequest serves one apache-shaped request per op — a
+// region with 11 Allocs, 20 SetSames and 13 SetRefs (4 of them into a
+// long-lived server region), then Delete, whose unscan releases every
+// counted slot. Its allocs/op price the registry and the unscan.
+func BenchmarkRegionRequest(b *testing.B) {
+	const nodes, cross, local = 11, 4, 9
+	a := NewArena()
+	srv := a.NewRegion()
+	confs := make([]*Obj[reqNode], 16)
+	for i := range confs {
+		confs[i] = Alloc[reqNode](srv)
+	}
+	var ns [nodes]*Obj[reqNode]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := a.NewRegion()
+		for k := range ns {
+			ns[k] = Alloc[reqNode](r)
+		}
+		for k := 1; k < nodes; k++ {
+			MustSetSame(ns[k], &ns[k].Value.next, ns[k-1])
+			MustSetSame(ns[k-1], &ns[k-1].Value.peer, ns[k])
+		}
+		for k := 0; k < cross; k++ {
+			MustSetRef(ns[k], &ns[k].Value.conf, confs[(i+k)%len(confs)])
+		}
+		for k := 0; k < local; k++ {
+			MustSetRef(ns[k], &ns[k].Value.link, ns[(k+5)%nodes])
+		}
+		if err := r.Delete(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkParallelAlloc allocates from every P into its own region —
 // the webserver pattern of a region per request.
 func BenchmarkParallelAlloc(b *testing.B) { benchParallelAlloc(b, false) }

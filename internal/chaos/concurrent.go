@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -722,7 +723,7 @@ func fabricSetup(e *env) phaseRun {
 		for i := 0; i < e.ops; i++ {
 			r := ring[rng.Intn(ringSize)]
 			var err error
-			switch rng.Intn(5) {
+			switch op := rng.Intn(6); op {
 			case 0, 1: // alloc + same-region annotated store
 				if o, aerr := rcgo.TryAlloc[node](r); aerr == nil {
 					e.allocs.Add(1)
@@ -748,15 +749,19 @@ func fabricSetup(e *env) phaseRun {
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 				err = old.DeleteWithRetry(ctx, rcgo.Backoff{Initial: 20 * time.Microsecond})
 				cancel()
-			case 4: // replace a ring slot through the zombie path, pinned
+			case 4, 5: // replace a ring slot through the zombie path, pinned
 				j := rng.Intn(ringSize)
 				old := ring[j]
 				ring[j] = a.NewRegion()
 				if o, aerr := rcgo.TryAlloc[node](old); aerr == nil {
 					e.allocs.Add(1)
 					if unpin, perr := rcgo.TryPin(o); perr == nil {
-						old.DeleteDeferred()
-						unpin() // last reference: the zombie drains
+						if op == 4 {
+							old.DeleteDeferred()
+							unpin() // last reference: the zombie drains
+						} else {
+							deferRacingUnpin(old, unpin, rng)
+						}
 					} else {
 						old.DeleteDeferred()
 					}
@@ -786,6 +791,26 @@ func fabricSetup(e *env) phaseRun {
 		return nil
 	}
 	return phaseRun{work: work, teardown: teardown}
+}
+
+// deferRacingUnpin deferred-deletes r on a goroutine of its own while
+// this one drops the pin that holds r's last reference, after a random
+// few yields: the unpin lands before, inside or after DeleteDeferred's
+// window between its count read and the stateZombie publish. One that
+// lands inside finds r dying, not zombie, and leaves the drain to
+// DeleteDeferred's re-offer; without that re-offer the zombie is stuck
+// and the quiesce sweep has to reclaim it, which fails the phase.
+func deferRacingUnpin(r *rcgo.Region, unpin func(), rng *rand.Rand) {
+	deferred := make(chan struct{})
+	go func() {
+		r.DeleteDeferred()
+		close(deferred)
+	}()
+	for k := rng.Intn(4); k > 0; k-- {
+		runtime.Gosched()
+	}
+	unpin()
+	<-deferred
 }
 
 // ownershipSetup is the ownership hand-off phase: workers form a ring,

@@ -454,7 +454,7 @@ func (r *Region) drain(force bool) bool {
 		r.state.Store(stateDead)
 		r.shard.deferredRegions.Add(-1)
 		r.mu.Unlock()
-		r.reclaim()
+		r.reclaim(nil)
 		return true
 	}
 	r.mu.Unlock()
@@ -547,7 +547,7 @@ func (r *Region) Delete() error {
 		c.deletes.Add(1)
 	}
 	r.arena.traceEvent(TraceRegionDeleted, r)
-	r.reclaim()
+	r.reclaim(nil)
 	return nil
 }
 
@@ -599,7 +599,7 @@ func (r *Region) DeleteDeferred() {
 			c.deferredDeletes.Add(1)
 		}
 		r.arena.traceEvent(TraceRegionDeleted, r)
-		r.reclaim()
+		r.reclaim(nil)
 		return
 	}
 	r.state.Store(stateZombie)
@@ -621,7 +621,9 @@ func (r *Region) DeleteDeferred() {
 // the (exactly-once) transition to stateDead, so no new objects, slots
 // or references can appear; concurrent stores that raced past the state
 // check finished under their shard lock before the drain takes it.
-func (r *Region) reclaim() {
+// parked are the counted slots of the deleting owner's token (nil on
+// every shared path): the unscan releases them with the registry's.
+func (r *Region) reclaim(parked []ownerSlot) {
 	// Drain the batched allocation deltas before the final swap: every
 	// admitted object's delta landed before the dead state was stored
 	// (the admission check saw stateAlive first — see the seq-cst
@@ -644,21 +646,25 @@ func (r *Region) reclaim() {
 	// page is handed back for immediate reuse once its chunk's writer
 	// gate drains, and no GC cycle is involved.
 	r.releaseSlabPages()
-	// The delete-time unscan: collect the registered slots shard by
-	// shard, then release the outbound counted references so the
-	// targets' counts drop (and deferred deletions may cascade). Releases
-	// run outside the shard locks: a release can reclaim its target,
-	// which takes that region's locks in turn.
-	var slots []releaser
+	// The delete-time unscan: release the outbound counted references so
+	// the targets' counts drop (and deferred deletions may cascade),
+	// shard by shard, each shard's slice swapped out under its lock and
+	// released in place. Releases run outside the shard locks: a release
+	// can reclaim its target, which takes that region's locks in turn.
+	// Then the slots an owner parked on its token (Owner.Delete), which
+	// never entered the registry.
 	for i := range r.slots {
 		sh := &r.slots[i]
 		sh.mu.Lock()
-		slots = append(slots, sh.slots...)
+		slots := sh.slots
 		sh.slots = nil
 		sh.mu.Unlock()
+		for _, s := range slots {
+			s.release(r)
+		}
 	}
-	for _, s := range slots {
-		s.release(r)
+	for _, s := range parked {
+		s.rel.release(r)
 	}
 	r.arena.unregister(r.id)
 	if c := r.counters(); c != nil {

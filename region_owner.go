@@ -114,7 +114,12 @@ import (
 // and the fabric-shard side miss them equally, so totals stay
 // consistent); the audit's rc-accounting rule is advisory while any
 // region is owned, because counted slots created through a token are
-// merged into the scanned registry only at Release.
+// merged into the scanned registry only at Release. Owner.Delete never
+// merges them: a successful delete hands the parked slots straight to
+// the delete-time unscan (reclaim), which releases them after the
+// registry's shards, and a delete that fails ErrRegionInUse leaves them
+// parked on the still-valid token for a later Release or Delete. Either
+// way each parked slot is released exactly once.
 //
 // The flush window carries the rcgo/own.release failpoint: an injected
 // error is a transient release failure observed before anything is
@@ -172,7 +177,7 @@ type acquireWaiter struct {
 
 // ownerSlot is a counted slot registered while owned, parked on the
 // token until Release merges it into the holder region's shared
-// registry.
+// registry or Owner.Delete hands it to the delete-time unscan.
 type ownerSlot struct {
 	rel releaser
 	p   unsafe.Pointer // the slot's address, for registry shard selection
@@ -204,8 +209,10 @@ type Owner struct {
 	objs int64
 	// m is the owner-local metric deltas.
 	m ownerCounters
-	// slots are counted slots first registered while owned, merged into
-	// the shared registry at Release.
+	// slots are counted slots first registered while owned: merged into
+	// the shared registry at Release, released by the unscan at a
+	// successful Owner.Delete (never merged), and kept here across a
+	// Delete that fails.
 	slots []ownerSlot
 	// revoked is set (exactly once, under r.mu) by the OwnerWatchdog's
 	// forced release; every owned operation checks it first and fails
@@ -508,11 +515,13 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 	return nil, nil
 }
 
-// flushLocked merges the token's owner-local state into the region's
-// shared bookkeeping. Caller holds r.mu and the region is stateOwned
-// (stable under mu). Flushing is idempotent-by-zeroing: the token's
-// deltas are reset so a Delete that fails ErrRegionInUse after flushing
-// leaves a still-valid token with nothing double-counted.
+// flushLocked merges the token's owner-local counters into the region's
+// shared bookkeeping; its parked slots are left to the caller (Release
+// merges them into the registry, Owner.Delete hands them to the
+// unscan). Caller holds r.mu and the region is stateOwned (stable under
+// mu). Flushing is idempotent-by-zeroing: the token's deltas are reset
+// so a Delete that fails ErrRegionInUse after flushing leaves a
+// still-valid token with nothing double-counted.
 func (o *Owner) flushLocked(r *Region) {
 	if o.objs != 0 {
 		r.objs.Add(o.objs)
@@ -523,15 +532,6 @@ func (o *Owner) flushLocked(r *Region) {
 	// just before the Acquire transition) parked deltas in the alloc
 	// cache; settle them on the same edge.
 	r.flushAllocPendingLocked()
-	if len(o.slots) > 0 {
-		for _, s := range o.slots {
-			sh := r.shardOf(s.p)
-			sh.mu.Lock()
-			sh.slots = append(sh.slots, s.rel)
-			sh.mu.Unlock()
-		}
-		o.slots = nil
-	}
 	if c := r.counters(); c != nil && o.m.any() {
 		c.allocs.Add(o.m.allocs)
 		for f, n := range o.m.stores {
@@ -541,6 +541,19 @@ func (o *Owner) flushLocked(r *Region) {
 		c.ownerFlushes.Add(1)
 	}
 	o.m = ownerCounters{}
+}
+
+// mergeSlotsLocked moves the token's parked slots into the region's
+// shared registry, where the shared paths' unscan and the auditor find
+// them. Caller holds r.mu and the region is stateOwned.
+func (o *Owner) mergeSlotsLocked(r *Region) {
+	for _, s := range o.slots {
+		sh := r.shardOf(s.p)
+		sh.mu.Lock()
+		sh.add(s.rel)
+		sh.mu.Unlock()
+	}
+	o.slots = nil
 }
 
 // Release returns the region to the shared state — or hands it straight
@@ -575,6 +588,7 @@ func (o *Owner) Release() error {
 		return fmt.Errorf("%w: release of region %d", err, r.id)
 	}
 	o.flushLocked(r)
+	o.mergeSlotsLocked(r)
 	w, next := r.handOffLocked()
 	r.mu.Unlock()
 	o.r = nil
@@ -596,9 +610,11 @@ func (o *Owner) Release() error {
 // Release/Delete round trip through the shared state. Like Delete it
 // fails with ErrRegionInUse while pre-existing external references or
 // subregions remain; the region then STAYS owned and the token stays
-// valid (the flush that already happened is just an early flush). An
-// injected rcgo/own.release error behaves as in Release. On success the
-// token is consumed.
+// valid (the flush that already happened is just an early flush), its
+// parked counted slots still on it. An injected rcgo/own.release error
+// behaves as in Release. On success the token is consumed, and its
+// parked slots go to the delete-time unscan without passing through
+// the shared registry.
 func (o *Owner) Delete() error {
 	r := o.r
 	if r == nil {
@@ -638,6 +654,8 @@ func (o *Owner) Delete() error {
 	waiters := r.waitq
 	r.waitq = nil
 	r.shard.acquireWaiters.Add(-int64(len(waiters)))
+	parked := o.slots
+	o.slots = nil
 	r.owner.Store(nil)
 	r.state.Store(stateDead)
 	r.shard.liveRegions.Add(-1)
@@ -654,7 +672,7 @@ func (o *Owner) Delete() error {
 		w.ready <- handoff{err: fmt.Errorf("%w: region %d deleted while waiting to acquire",
 			ErrRegionDeleted, r.id)}
 	}
-	r.reclaim()
+	r.reclaim(parked)
 	return nil
 }
 

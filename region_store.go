@@ -36,9 +36,23 @@ import (
 // rarely contend on the same lock.
 const slotShards = 8
 
+// slotBlock is the capacity of a shard's first registration: a request
+// region holds one or two counted slots per shard, so growing the slice
+// from nil (1, 2, 4) would allocate up to three times for what one
+// block of four holds.
+const slotBlock = 4
+
 type slotShard struct {
 	mu    sync.Mutex
 	slots []releaser
+}
+
+// add registers one counted slot. Caller holds sh.mu.
+func (sh *slotShard) add(s releaser) {
+	if sh.slots == nil {
+		sh.slots = make([]releaser, 0, slotBlock)
+	}
+	sh.slots = append(sh.slots, s)
 }
 
 // releaser lets a region release its objects' outbound counted references
@@ -238,7 +252,7 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 			old = slot.target.Swap(target)
 			if target != nil && !slot.registered {
 				slot.registered = true
-				sh.slots = append(sh.slots, slot)
+				sh.add(slot)
 			}
 			sh.mu.Unlock()
 		}
