@@ -78,15 +78,17 @@ advise-smoke:
 # (internal/exp/ab.go: the fabric, the advisor gate, ownership,
 # blocking acquisition and off-heap slabs, including the live-GC cell)
 # piped through benchlint; the pipeline hand-off example; and a
-# 100-iteration spin of the parallel Alloc benchmarks and of the
-# one-request region lifecycle (BenchmarkRegionRequest). One round proves
+# 100-iteration spin of the parallel Alloc benchmarks, of the
+# one-request region lifecycle (BenchmarkRegionRequest) and of counted
+# stores into one shared holder region (BenchmarkParallelSetRefOneHolder).
+# One round proves
 # the machinery, not a speedup: BENCH_pr13_ab.json records the real
 # 10-round run. The chaos phases run in chaos-smoke (its own CI job)
 # and, under -race, in the race target's TestChaos.
 ab-smoke:
 	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -ab all | $(GO) run rcgo/cmd/benchlint
 	$(GO) run rcgo/examples/pipeline
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc|BenchmarkRegionRequest' -benchtime 100x -cpu 2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc|BenchmarkRegionRequest|BenchmarkParallelSetRefOneHolder' -benchtime 100x -cpu 2 .
 
 # Documentation anchor gate: every path named in ARCHITECTURE.md's
 # tables must exist on disk, and every "DESIGN.md §N" cross-reference

@@ -519,6 +519,20 @@ func BenchmarkParallelSetParentMetrics(b *testing.B) {
 	})
 }
 
+// setRefLoop alternates a counted store of target into h's cross slot
+// with a nil store, so every other op releases the reference again.
+func setRefLoop(pb *testing.PB, h, target *Obj[parNode]) {
+	clear := false
+	for pb.Next() {
+		if clear {
+			MustSetRef(h, &h.Value.cross, nil)
+		} else {
+			MustSetRef(h, &h.Value.cross, target)
+		}
+		clear = !clear
+	}
+}
+
 // BenchmarkParallelSetRef: every P stores counted references to one
 // shared region from its own holder, so all Ps contend on the target's
 // atomic reference count — the cost the annotations exist to avoid.
@@ -527,16 +541,7 @@ func BenchmarkParallelSetRef(b *testing.B) {
 	shared := a.NewRegion()
 	target := Alloc[parNode](shared)
 	b.RunParallel(func(pb *testing.PB) {
-		h := Alloc[parNode](a.NewRegion())
-		clear := false
-		for pb.Next() {
-			if clear {
-				MustSetRef(h, &h.Value.cross, nil)
-			} else {
-				MustSetRef(h, &h.Value.cross, target)
-			}
-			clear = !clear
-		}
+		setRefLoop(pb, Alloc[parNode](a.NewRegion()), target)
 	})
 }
 
@@ -550,16 +555,19 @@ func BenchmarkParallelSetRefAdvisor(b *testing.B) {
 	shared := a.NewRegion()
 	target := Alloc[parNode](shared)
 	b.RunParallel(func(pb *testing.PB) {
-		h := Alloc[parNode](a.NewRegion())
-		clear := false
-		for pb.Next() {
-			if clear {
-				MustSetRef(h, &h.Value.cross, nil)
-			} else {
-				MustSetRef(h, &h.Value.cross, target)
-			}
-			clear = !clear
-		}
+		setRefLoop(pb, Alloc[parNode](a.NewRegion()), target)
+	})
+}
+
+// BenchmarkParallelSetRefOneHolder: every P stores counted references
+// from its own object in one shared holder region, each into a target
+// region of its own, so the Ps share only the holder's slot-registry
+// lock — the traffic a registry sharded by slot address would spread.
+func BenchmarkParallelSetRefOneHolder(b *testing.B) {
+	a := NewArena()
+	holders := a.NewRegion()
+	b.RunParallel(func(pb *testing.PB) {
+		setRefLoop(pb, Alloc[parNode](holders), Alloc[parNode](a.NewRegion()))
 	})
 }
 

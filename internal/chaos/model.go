@@ -458,7 +458,7 @@ func (h *Harness) apply(op Op) error {
 		external := target != nil && target.region != holder.region
 		// Prediction order mirrors the runtime: the external target's
 		// incRC decides first (owned beats deleted there too), then the
-		// holder's state check under the shard lock.
+		// holder's state check under the registry lock.
 		predicted := holderRule(holder.region, target == nil)
 		switch {
 		case external && target.region.state == mOwned:

@@ -240,7 +240,7 @@ func allocBatch(storesPerAlloc, batch int) abBody {
 
 // ownAllocOwned is allocBatch(1, batch) through an Owner token: owned
 // allocation and SetSameOwned, with Owner.Delete at each batch end, so
-// a small batch also pays Acquire's barrier sweep and the release
+// a small batch also pays Acquire's registry barrier and the release
 // flush.
 func ownAllocOwned(batch int) abBody {
 	return func(a *rcgo.Arena, _ *rcgo.Region, iters int) error {

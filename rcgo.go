@@ -18,7 +18,7 @@
 //     with the paper's dynamic safety guarantee — deleting a region fails
 //     while external references remain. The runtime is safe for
 //     concurrent use: reference counts are atomic, counted slots register
-//     in sharded per-region registries, and the annotated stores
+//     in one locked registry per region, and the annotated stores
 //     (SetSame, SetTrad, SetParent) stay check-only with no writes to
 //     shared cache lines, so they scale linearly across goroutines. See
 //     region_api.go, region_store.go and region_stats.go.

@@ -37,9 +37,9 @@ import (
 //   - Lifecycle decisions (Delete, DeleteDeferred, the zombie drain,
 //     Alloc and NewSubregion admission) serialize on a small per-region
 //     mutex. Store fast paths never take it.
-//   - Counted slots register in a mutex-sharded per-region registry
-//     (region_store.go), keyed by slot address, so concurrent SetRefs
-//     into one region rarely share a lock.
+//   - Counted slots register in one mutex-guarded registry per region
+//     (region_store.go) whose first 16 entries are inline in the
+//     Region, so a request region's SetRefs allocate nothing.
 //   - Annotated stores (SetSame, SetTrad, SetParent) and Obj.Use are
 //     entirely lock-free and write no shared memory: they read immutable
 //     region identity/ancestry plus the region state word, then write
@@ -47,9 +47,9 @@ import (
 //     (BenchmarkParallelSetSame).
 //
 // Concurrent Set* calls on the *same* slot are linearized by the runtime
-// (the slot value is atomic and counted stores serialize on the slot's
-// registry shard), but as in any Go program, higher-level invariants
-// across multiple slots are the caller's responsibility.
+// (the slot value is atomic and counted stores serialize on the holder
+// region's registry lock), but as in any Go program, higher-level
+// invariants across multiple slots are the caller's responsibility.
 
 // Region lifecycle states. All transitions happen under Region.mu; reads
 // are lock-free. stateDying is a transient window during which Delete or
@@ -142,10 +142,11 @@ type Region struct {
 	// atomically by the auditor's owner-linkage check.
 	owner atomic.Pointer[Owner]
 
-	// slots is the sharded registry of counted (SetRef) slots held by
-	// this region's objects; deletion drains it to release outbound
-	// references, the analogue of the runtime's delete-time unscan.
-	slots [slotShards]slotShard
+	// slots is the registry of counted (SetRef) slots held by this
+	// region's objects, its first slotInline entries stored in place;
+	// deletion drains it to release outbound references, the analogue
+	// of the runtime's delete-time unscan.
+	slots slotRegistry
 
 	// slabPages tracks the off-heap store pages this region's slab
 	// chunks are carved from (region_slab.go): carve appends, reclaim
@@ -620,10 +621,10 @@ func (r *Region) DeleteDeferred() {
 // reclaim frees the region's bookkeeping. The caller has already made
 // the (exactly-once) transition to stateDead, so no new objects, slots
 // or references can appear; concurrent stores that raced past the state
-// check finished under their shard lock before the drain takes it.
+// check finished under the registry lock before the drain takes it.
 // parked are the counted slots of the deleting owner's token (nil on
 // every shared path): the unscan releases them with the registry's.
-func (r *Region) reclaim(parked []ownerSlot) {
+func (r *Region) reclaim(parked []releaser) {
 	// Drain the batched allocation deltas before the final swap: every
 	// admitted object's delta landed before the dead state was stored
 	// (the admission check saw stateAlive first — see the seq-cst
@@ -647,25 +648,31 @@ func (r *Region) reclaim(parked []ownerSlot) {
 	// gate drains, and no GC cycle is involved.
 	r.releaseSlabPages()
 	// The delete-time unscan: release the outbound counted references so
-	// the targets' counts drop (and deferred deletions may cascade),
-	// shard by shard, each shard's slice swapped out under its lock and
-	// released in place. Releases run outside the shard locks: a release
-	// can reclaim its target, which takes that region's locks in turn.
-	// Then the slots an owner parked on its token (Owner.Delete), which
-	// never entered the registry.
-	for i := range r.slots {
-		sh := &r.slots[i]
-		sh.mu.Lock()
-		slots := sh.slots
-		sh.slots = nil
-		sh.mu.Unlock()
-		for _, s := range slots {
-			s.release(r)
-		}
+	// the targets' counts drop (and deferred deletions may cascade), the
+	// registry's slice swapped out under its lock and released in place.
+	// Releases run outside the lock: a release can reclaim its target,
+	// which takes that region's locks in turn. Then the slots an owner
+	// parked on its token (Owner.Delete), which never entered the
+	// registry.
+	g := &r.slots
+	g.mu.Lock()
+	slots := g.list
+	g.list = nil
+	g.mu.Unlock()
+	for _, s := range slots {
+		s.release(r)
 	}
 	for _, s := range parked {
-		s.rel.release(r)
+		s.release(r)
 	}
+	// Clear the inline array. The released slice is either a prefix of
+	// it or a heap array nothing references any more, and once the slice
+	// has grown onto the heap the array still holds stale copies of the
+	// first entries. A dead region stays reachable from its chunk-mates'
+	// Obj.region after the chunk is reused, and an entry left here would
+	// keep its slot's chunk — and the dead regions that chunk names —
+	// alive.
+	clear(g.inline[:])
 	r.arena.unregister(r.id)
 	if c := r.counters(); c != nil {
 		c.reclaims.Add(1)

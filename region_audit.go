@@ -8,7 +8,7 @@ import (
 
 // Whole-arena invariant auditing. Audit cross-checks every piece of
 // bookkeeping the runtime maintains redundantly — per-region atomic
-// counters, the sharded slot registries, the parent/child population,
+// counters, the per-region slot registries, the parent/child population,
 // and the arena-wide totals — and reports every inconsistency as a
 // structured violation. The paper's safety argument reduces to "a
 // region is reclaimed only when its external reference count is zero";
@@ -18,9 +18,9 @@ import (
 // Audit is exact on a quiesced arena (no operations in flight): the
 // chaos harness (cmd/rcchaos, chaos_test.go) requires a clean report
 // after every quiesce point, with failpoints having fired on every
-// lifecycle edge. On a live arena the scan is safe (shard locks are
-// taken one at a time, like the debug inspector) but counters are read
-// at slightly different instants, so in-flight operations can surface
+// lifecycle edge. On a live arena the scan is safe (locks are taken one
+// at a time, like the debug inspector) but counters are read at
+// slightly different instants, so in-flight operations can surface
 // as transient rc-accounting or total mismatches; a live report is
 // advisory, a quiesced report is ground truth.
 //
@@ -177,8 +177,9 @@ func (rep AuditReport) String() string {
 
 // Audit scans the whole arena and cross-checks its redundant
 // bookkeeping (see the file comment for the exactness contract). The
-// scan never blocks the runtime: it takes registry and slot shard locks
-// one at a time, exactly like the debug inspector.
+// scan never blocks the runtime: it takes the fabric's registry locks
+// and each region's slot-registry lock one at a time, exactly like the
+// debug inspector.
 func (a *Arena) Audit() AuditReport {
 	var rep AuditReport
 	add := func(rule string, region int64, got, want int64, format string, args ...any) {
@@ -205,24 +206,19 @@ func (a *Arena) Audit() AuditReport {
 	// exactly one committed rc unit on its target.
 	inbound := make(map[*Region]int64, len(regions))
 	for _, holder := range regions {
-		for i := range holder.slots {
-			sh := &holder.slots[i]
-			sh.mu.Lock()
-			slots := append([]releaser(nil), sh.slots...)
-			sh.mu.Unlock()
-			rep.SlotsScanned += len(slots)
-			for _, s := range slots {
-				t := s.targetRegion()
-				if t == nil || t == holder {
-					continue
-				}
-				inbound[t]++
-				// Re-read after classifying so a slot cleared or a target
-				// reclaimed mid-scan does not report a spurious dangle.
-				if t.Stats().Reclaimed && s.targetRegion() == t {
-					add(AuditSlotIntoDead, holder.id, t.id, 0,
-						"registered counted slot points into reclaimed region %d", t.id)
-				}
+		slots := holder.slots.snapshot()
+		rep.SlotsScanned += len(slots)
+		for _, s := range slots {
+			t := s.targetRegion()
+			if t == nil || t == holder {
+				continue
+			}
+			inbound[t]++
+			// Re-read after classifying so a slot cleared or a target
+			// reclaimed mid-scan does not report a spurious dangle.
+			if t.Stats().Reclaimed && s.targetRegion() == t {
+				add(AuditSlotIntoDead, holder.id, t.id, 0,
+					"registered counted slot points into reclaimed region %d", t.id)
 			}
 		}
 	}

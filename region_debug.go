@@ -155,10 +155,10 @@ type BlockedRegion struct {
 }
 
 // BlockedDeleters reports every zombie region and what pins it, by
-// scanning the sharded slot registries of all live and zombie regions.
-// A region appears with empty Holders and zero Pins when only its live
-// subregions (or in-flight references) block the reclaim. Shard locks
-// are taken one at a time, so the scan never blocks the runtime.
+// scanning the slot registries of all live and zombie regions. A region
+// appears with empty Holders and zero Pins when only its live
+// subregions (or in-flight references) block the reclaim. Registry
+// locks are taken one at a time, so the scan never blocks the runtime.
 func (a *Arena) BlockedDeleters() []BlockedRegion {
 	var zombies []*Region
 	var all []*Region
@@ -177,16 +177,10 @@ func (a *Arena) BlockedDeleters() []BlockedRegion {
 		holders[z] = make(map[int64]int)
 	}
 	for _, holder := range all {
-		for i := range holder.slots {
-			sh := &holder.slots[i]
-			sh.mu.Lock()
-			slots := append([]releaser(nil), sh.slots...)
-			sh.mu.Unlock()
-			for _, s := range slots {
-				if t := s.targetRegion(); t != nil && t != holder {
-					if h, ok := holders[t]; ok {
-						h[holder.id]++
-					}
+		for _, s := range holder.slots.snapshot() {
+			if t := s.targetRegion(); t != nil && t != holder {
+				if h, ok := holders[t]; ok {
+					h[holder.id]++
 				}
 			}
 		}

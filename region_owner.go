@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Exclusive region ownership (DESIGN.md §14): the regions-as-locks idea
@@ -55,16 +54,16 @@ import (
 //
 //  1. In-flight shared stores at Acquire time. A shared SetRef that
 //     passed its state check before the stateOwned transition may still
-//     be mid-critical-section on one of the region's slot-registry
-//     shards. Acquire therefore performs a barrier sweep after the
-//     transition: it locks and releases every slot shard once. Any
-//     store that read stateAlive is inside its shard critical section
-//     and completes before the sweep passes that shard; any store that
-//     takes a shard lock after the sweep re-reads the state inside the
-//     lock (SetRef checks settled() under the shard mutex) and fails
-//     with ErrRegionOwned. After Acquire returns, no shared-path store
-//     can touch the region's slots, and the sweep's lock/unlock pairs
-//     give the acquiring goroutine a happens-before edge over every
+//     be mid-critical-section on the region's slot-registry lock.
+//     Acquire therefore performs a barrier after the transition: it
+//     locks and releases the registry lock once. Any store that read
+//     stateAlive is inside its critical section and completes before
+//     the barrier takes the lock; any store that takes the lock after
+//     the barrier re-reads the state inside it (SetRef checks the
+//     holder state under the registry mutex) and fails with
+//     ErrRegionOwned. After Acquire returns, no shared-path store can
+//     touch the region's slots, and the barrier's lock/unlock pair
+//     gives the acquiring goroutine a happens-before edge over every
 //     prior registration — so the owner's plain reads of slot
 //     bookkeeping (Ref.registered) observe fully-written values.
 //  2. Concurrent readers while owned. Stats/Audit/Hierarchy read only
@@ -92,15 +91,15 @@ import (
 //     operation observes stateAlive" edge never forms — the successor
 //     needs its own publication edge over the old owner's plain writes
 //     (the flushed counters, the slot registrations merged under the
-//     registry shard locks, Ref.registered flags written plain). That
+//     registry lock, Ref.registered flags written plain). That
 //     edge is the hand-off channel itself: the old owner flushes under
 //     r.mu, releases the mutex, and only then sends the successor
 //     token on the waiter's buffered channel, so every owner-local
 //     write (and the flush that merged it) is sequenced before the
 //     send, and the receive in AcquireContext happens-before every
 //     owned operation the successor performs. The successor also skips
-//     the Acquire barrier sweep: the region never left stateOwned, so
-//     no shared-path store can have slipped in for the sweep to wait
+//     the Acquire barrier: the region never left stateOwned, so no
+//     shared-path store can have slipped in for the barrier to wait
 //     out — the hand-off inherits the old owner's barrier.
 //
 // Flush-at-Release exactness: Release (and Owner.Delete) merges the
@@ -117,7 +116,7 @@ import (
 // merged into the scanned registry only at Release. Owner.Delete never
 // merges them: a successful delete hands the parked slots straight to
 // the delete-time unscan (reclaim), which releases them after the
-// registry's shards, and a delete that fails ErrRegionInUse leaves them
+// registry's slots, and a delete that fails ErrRegionInUse leaves them
 // parked on the still-valid token for a later Release or Delete. Either
 // way each parked slot is released exactly once.
 //
@@ -175,14 +174,6 @@ type acquireWaiter struct {
 	npc int
 }
 
-// ownerSlot is a counted slot registered while owned, parked on the
-// token until Release merges it into the holder region's shared
-// registry or Owner.Delete hands it to the delete-time unscan.
-type ownerSlot struct {
-	rel releaser
-	p   unsafe.Pointer // the slot's address, for registry shard selection
-}
-
 // ownerCounters are the owner-local metric deltas, mirrored from
 // counterShard and flushed into one shard at Release. Plain fields:
 // only the owning goroutine touches them.
@@ -209,11 +200,11 @@ type Owner struct {
 	objs int64
 	// m is the owner-local metric deltas.
 	m ownerCounters
-	// slots are counted slots first registered while owned: merged into
-	// the shared registry at Release, released by the unscan at a
-	// successful Owner.Delete (never merged), and kept here across a
-	// Delete that fails.
-	slots []ownerSlot
+	// slots are counted slots first registered while owned, parked on
+	// the token: merged into the shared registry at Release, released
+	// by the unscan at a successful Owner.Delete (never merged), and
+	// kept here across a Delete that fails.
+	slots []releaser
 	// revoked is set (exactly once, under r.mu) by the OwnerWatchdog's
 	// forced release; every owned operation checks it first and fails
 	// with ErrOwnerRevoked. It is the one atomic on the token — an
@@ -228,18 +219,16 @@ func (o *Owner) Region() *Region { return o.r }
 // Owned reports whether the region is currently exclusively owned.
 func (r *Region) Owned() bool { return r.settled() == stateOwned }
 
-// storeBarrier locks and releases every slot-registry shard once. Called
-// by TryAcquire after the stateOwned transition: every in-flight shared
-// counted store holds its shard lock from state check to registration,
-// so the sweep both waits those stores out and hands the acquiring
-// goroutine a happens-before edge over all prior slot registrations.
+// storeBarrier locks and releases the slot registry once. Called by
+// TryAcquire after the stateOwned transition: every in-flight shared
+// counted store holds the registry lock from state check to
+// registration, so the barrier both waits those stores out and hands
+// the acquiring goroutine a happens-before edge over all prior slot
+// registrations.
 func (r *Region) storeBarrier() {
-	for i := range r.slots {
-		sh := &r.slots[i]
-		sh.mu.Lock()
-		//lint:ignore SA2001 the empty critical section is the barrier
-		sh.mu.Unlock()
-	}
+	r.slots.mu.Lock()
+	//lint:ignore SA2001 the empty critical section is the barrier
+	r.slots.mu.Unlock()
 }
 
 // Acquire takes exclusive ownership of the region, panicking on
@@ -306,10 +295,10 @@ func (r *Region) acquireLocked() (*Owner, error) {
 }
 
 // finishAcquire is the out-of-mu tail of an uncontended acquire: the
-// barrier sweep over the slot shards (hazard 1 in the file comment),
-// the counter, and the trace event. A handed-off acquire does not come
-// through here — it inherits the old owner's barrier (hazard 4) and
-// counts/traces at the receive site.
+// slot-registry barrier (hazard 1 in the file comment), the counter,
+// and the trace event. A handed-off acquire does not come through here
+// — it inherits the old owner's barrier (hazard 4) and counts/traces at
+// the receive site.
 func (r *Region) finishAcquire() {
 	r.storeBarrier()
 	if c := r.counters(); c != nil {
@@ -547,12 +536,15 @@ func (o *Owner) flushLocked(r *Region) {
 // shared registry, where the shared paths' unscan and the auditor find
 // them. Caller holds r.mu and the region is stateOwned.
 func (o *Owner) mergeSlotsLocked(r *Region) {
-	for _, s := range o.slots {
-		sh := r.shardOf(s.p)
-		sh.mu.Lock()
-		sh.add(s.rel)
-		sh.mu.Unlock()
+	if len(o.slots) == 0 {
+		return
 	}
+	g := &r.slots
+	g.mu.Lock()
+	for _, s := range o.slots {
+		g.add(s)
+	}
+	g.mu.Unlock()
 	o.slots = nil
 }
 

@@ -26,33 +26,40 @@ import (
 // Annotated stores write no shared memory: they read immutable region
 // identity/ancestry and the region state word, then write the holder's
 // own slot. SetRef updates the target region's atomic count and
-// serializes on the holder's registry shard for the slot. Arena metrics
+// serializes on the holder region's registry lock. Arena metrics
 // (region_metrics.go) and the annotation advisor (region_advisor.go)
 // sit behind the region's one instrument gate: disarmed, both cost a
 // store one pointer load and branch.
 
-// slotShards is the number of registry shards per region. Counted slots
-// hash to a shard by address, so concurrent SetRefs into one region
-// rarely contend on the same lock.
-const slotShards = 8
+// slotInline is how many counted slots a region registers before its
+// registry spills to the heap: a request region holds about 13, so
+// sixteen inline entries register them all without allocating.
+const slotInline = 16
 
-// slotBlock is the capacity of a shard's first registration: a request
-// region holds one or two counted slots per shard, so growing the slice
-// from nil (1, 2, 4) would allocate up to three times for what one
-// block of four holds.
-const slotBlock = 4
-
-type slotShard struct {
-	mu    sync.Mutex
-	slots []releaser
+// slotRegistry is a region's registry of counted (SetRef) slots: one
+// mutex and one slice that starts in the inline array and grows on the
+// heap (by append) past slotInline entries.
+type slotRegistry struct {
+	mu     sync.Mutex
+	list   []releaser
+	inline [slotInline]releaser
 }
 
-// add registers one counted slot. Caller holds sh.mu.
-func (sh *slotShard) add(s releaser) {
-	if sh.slots == nil {
-		sh.slots = make([]releaser, 0, slotBlock)
+// add registers one counted slot. Caller holds g.mu.
+func (g *slotRegistry) add(s releaser) {
+	if g.list == nil {
+		g.list = g.inline[:0]
 	}
-	sh.slots = append(sh.slots, s)
+	g.list = append(g.list, s)
+}
+
+// snapshot copies the registered slots under the lock, for the scans
+// that read them while stores go on (the auditor, the blocked-deleters
+// report).
+func (g *slotRegistry) snapshot() []releaser {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]releaser(nil), g.list...)
 }
 
 // releaser lets a region release its objects' outbound counted references
@@ -65,13 +72,6 @@ type releaser interface {
 	targetRegion() *Region
 }
 
-func (r *Region) shardOf(p unsafe.Pointer) *slotShard {
-	// Fibonacci hash of the slot address; slots are word-aligned so the
-	// low bits carry no information.
-	h := uintptr(p) * 0x9E3779B97F4A7C15 >> 32
-	return &r.slots[h%slotShards]
-}
-
 // Ref is a counted or annotated slot referencing an Obj. Refs that live
 // inside region objects must be updated through the holder's Set
 // methods. A given slot should be used with one store flavour only
@@ -80,7 +80,7 @@ func (r *Region) shardOf(p unsafe.Pointer) *slotShard {
 type Ref[T any] struct {
 	target atomic.Pointer[Obj[T]]
 	// registered marks the slot as present in its holder region's
-	// registry; guarded by that slot's registry shard lock.
+	// registry; guarded by that registry's lock.
 	registered bool
 }
 
@@ -222,25 +222,25 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 				// gives the owner happens-before over every pre-ownership
 				// registration, and no shared store can race while owned.
 				slot.registered = true
-				o.slots = append(o.slots, ownerSlot{rel: slot, p: unsafe.Pointer(slot)})
+				o.slots = append(o.slots, slot)
 			}
 		} else {
 			// The failpoint sits in the count-vs-registry window: the
 			// reference is counted but the slot not yet registered; an
 			// injected error unwinds the store exactly like a holder-state
 			// rejection.
-			sh := hr.shardOf(unsafe.Pointer(slot))
+			g := &hr.slots
 			err := fpSlotInsert.Eval()
 			if err != nil {
 				err = storeError(err, f, nil, hr, nil)
 			} else {
-				// The holder state is read under the shard lock: that is
-				// what fences shared stores against Acquire's barrier sweep
-				// — a store that gets here after the sweep passed its shard
-				// observes stateOwned and fails.
-				sh.mu.Lock()
+				// The holder state is read under the registry lock: that is
+				// what fences shared stores against Acquire's barrier — a
+				// store that gets here after the barrier passed observes
+				// stateOwned and fails.
+				g.mu.Lock()
 				if err = hr.checkHolder(f, target == nil); err != nil {
-					sh.mu.Unlock()
+					g.mu.Unlock()
 				}
 			}
 			if err != nil {
@@ -252,9 +252,9 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 			old = slot.target.Swap(target)
 			if target != nil && !slot.registered {
 				slot.registered = true
-				sh.add(slot)
+				g.add(slot)
 			}
-			sh.mu.Unlock()
+			g.mu.Unlock()
 		}
 		tally(o, c, f)
 	}
@@ -264,7 +264,7 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 	if f != FlavourRef {
 		slot.target.Store(target)
 	} else if old != nil && old.region != hr {
-		// Release the displaced reference outside the shard lock: the drop
+		// Release the displaced reference outside the registry lock: the drop
 		// can reclaim a deferred-deleted region, which takes its own locks.
 		old.region.decRC()
 	}

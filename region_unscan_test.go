@@ -5,13 +5,14 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
-// Tests of the delete-time unscan (reclaim): it releases each registry
-// shard in place and the deleting owner's parked slots directly, so a
-// delete allocates nothing for its counted slots, and every slot is
-// released exactly once whichever way the region dies.
+// Tests of the slot registry and the delete-time unscan (reclaim):
+// registering a request region's counted slots allocates nothing, the
+// unscan releases the registry in place and the deleting owner's parked
+// slots directly, so a delete allocates nothing for its counted slots,
+// every slot is released exactly once whichever way the region dies,
+// and a dead region's registry keeps no slot reachable.
 
 // unscanRegions is how many prebuilt regions each allocation guard
 // deletes: enough that one stray allocation elsewhere in the process
@@ -31,36 +32,26 @@ func mallocsPerCall(n int, del func(i int)) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
-// fillAllShards stores counted cross-region references from fresh
-// holders in r into target until every one of r's registry shards holds
-// a slot, and returns how many it stored.
-func fillAllShards(t *testing.T, r *Region, target *Obj[crossNode]) int {
-	t.Helper()
-	var filled [slotShards]bool
-	n, covered := 0, 0
-	for covered < slotShards {
+// pastInline is how many counted slots fillPastInline registers: enough
+// that the registry's slice has moved off its inline block to the heap.
+const pastInline = slotInline + slotInline/4
+
+// fillPastInline stores counted cross-region references from fresh
+// holders in r into target until r's registry has spilled past its
+// inline block, and returns how many it stored.
+func fillPastInline(r *Region, target *Obj[crossNode]) int {
+	for i := 0; i < pastInline; i++ {
 		h := Alloc[crossNode](r)
 		MustSetRef(h, &h.Value.Other, target)
-		n++
-		sh := r.shardOf(unsafe.Pointer(&h.Value.Other))
-		for i := range r.slots {
-			if &r.slots[i] == sh && !filled[i] {
-				filled[i] = true
-				covered++
-			}
-		}
-		if n > 64*slotShards {
-			t.Fatal("slot hash never reached every shard")
-		}
 	}
-	return n
+	return pastInline
 }
 
-// Region.Delete's unscan allocates nothing: each shard's slice is
-// released where it lies. Measured over 128 regions with counted slots
-// in all 8 shards (~20 slots each): 4.41 allocations per delete when
-// reclaim gathered every shard into a fresh slice, and 0.09 (a dozen
-// over the 128 deletes) with the shards released in place.
+// Region.Delete's unscan allocates nothing: the registry's slice is
+// released where it lies. Measured over 128 regions with ~20 counted
+// slots each, when the registry was 8 shards: 4.41 allocations per
+// delete when reclaim gathered every shard into a fresh slice, and 0.09
+// (a dozen over the 128 deletes) with the shards released in place.
 func TestDeleteUnscanDoesNotAllocate(t *testing.T) {
 	a := NewArena()
 	targetRegion := a.NewRegion()
@@ -69,7 +60,7 @@ func TestDeleteUnscanDoesNotAllocate(t *testing.T) {
 	slots := int64(0)
 	for i := range regions {
 		regions[i] = a.NewRegion()
-		slots += int64(fillAllShards(t, regions[i], target))
+		slots += int64(fillPastInline(regions[i], target))
 	}
 	if got := targetRegion.RC(); got != slots {
 		t.Fatalf("target rc = %d before the deletes, want %d", got, slots)
@@ -94,9 +85,9 @@ func TestDeleteUnscanDoesNotAllocate(t *testing.T) {
 // Owner.Delete hands the token's parked slots to the unscan instead of
 // merging them into the registry first. Measured over 128 owned regions
 // with 16 parked SetRefOwned slots each: 16.07 allocations per delete
-// when Owner.Delete merged the slots into the shards (each shard's slice
-// grown from nil by the merge, then gathered again by reclaim), and 0.09
-// with the parked slots released directly.
+// when Owner.Delete merged the slots into the registry shards (each
+// shard's slice grown from nil by the merge, then gathered again by
+// reclaim), and 0.09 with the parked slots released directly.
 func TestOwnerDeleteUnscanDoesNotAllocate(t *testing.T) {
 	const parked = 16
 	a := NewArena()
@@ -239,5 +230,111 @@ func TestOwnerDeleteParkedSlotsReleasedOnce(t *testing.T) {
 				t.Fatalf("audit after the targets' deletes: %s", rep)
 			}
 		})
+	}
+}
+
+// A request region's counted stores allocate nothing: its 13 slots (the
+// BenchmarkRegionRequest shape, 4 into another region and 9 inside the
+// request) fit in the registry's inline block. Measured over 128
+// regions: 4.82 allocations per region when the registry was 8 shards,
+// each allocating a block on its first registration.
+func TestRequestSetRefsDoNotAllocate(t *testing.T) {
+	const nodes, cross, local = 11, 4, 9
+	a := NewArena()
+	srv := a.NewRegion()
+	conf := Alloc[crossNode](srv)
+	holders := make([][nodes]*Obj[crossNode], unscanRegions)
+	regions := make([]*Region, unscanRegions)
+	for i := range regions {
+		regions[i] = a.NewRegion()
+		for k := range holders[i] {
+			holders[i][k] = Alloc[crossNode](regions[i])
+		}
+	}
+	per := mallocsPerCall(len(regions), func(i int) {
+		ns := &holders[i]
+		for k := 0; k < cross; k++ {
+			MustSetRef(ns[k], &ns[k].Value.Other, conf)
+		}
+		for k := 0; k < local; k++ {
+			h := ns[(cross+k)%nodes]
+			MustSetRef(h, &h.Value.Up, ns[k])
+		}
+	})
+	t.Logf("%.2f allocations per region of %d SetRefs", per, cross+local)
+	if per >= 0.5 {
+		t.Errorf("registering %d counted slots allocated %.2f times per region, want 0", cross+local, per)
+	}
+	for _, r := range regions {
+		if err := r.Delete(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.RC(); got != 0 {
+		t.Fatalf("server rc = %d after the deletes, want 0", got)
+	}
+}
+
+// A dead region's registry holds nothing: its slice is nil and every
+// inline entry is cleared, whichever way it died and whether or not the
+// slice had grown past the inline block (leaving stale copies of the
+// first entries there). A dead region stays reachable from its
+// chunk-mates' Obj.region once the chunk is reused, so an entry left
+// behind would keep its slot's chunk, and the dead regions that chunk
+// names, alive.
+func TestDeadRegionRegistryRetainsNothing(t *testing.T) {
+	for _, n := range []int{slotInline / 2, slotInline, pastInline} {
+		for _, tc := range []struct {
+			name string
+			kill func(t *testing.T, r *Region, target *Obj[crossNode])
+		}{
+			{"delete", func(t *testing.T, r *Region, target *Obj[crossNode]) {
+				if err := r.Delete(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"deferred-drain", func(t *testing.T, r *Region, target *Obj[crossNode]) {
+				unpin := Pin(Alloc[crossNode](r))
+				r.DeleteDeferred()
+				if r.Stats().Reclaimed {
+					t.Fatal("pinned region reclaimed at DeleteDeferred")
+				}
+				unpin()
+			}},
+			{"owner-delete", func(t *testing.T, r *Region, target *Obj[crossNode]) {
+				o := r.Acquire()
+				h := AllocOwned[crossNode](o)
+				if err := SetRefOwned(o, h, &h.Value.Other, target); err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Delete(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			a := NewArena()
+			targetRegion := a.NewRegion()
+			target := Alloc[crossNode](targetRegion)
+			r := a.NewRegion()
+			for i := 0; i < n; i++ {
+				h := Alloc[crossNode](r)
+				MustSetRef(h, &h.Value.Other, target)
+			}
+			tc.kill(t, r, target)
+			if !r.Stats().Reclaimed {
+				t.Fatalf("%s, %d slots: region not reclaimed", tc.name, n)
+			}
+			if r.slots.list != nil {
+				t.Errorf("%s, %d slots: registry slice still holds %d entries", tc.name, n, len(r.slots.list))
+			}
+			for i, s := range r.slots.inline {
+				if s != nil {
+					t.Errorf("%s, %d slots: inline entry %d still set", tc.name, n, i)
+				}
+			}
+			if got := targetRegion.RC(); got != 0 {
+				t.Errorf("%s, %d slots: target rc = %d, want 0", tc.name, n, got)
+			}
+		}
 	}
 }
