@@ -78,11 +78,12 @@ advise-smoke:
 # (internal/exp/ab.go: the fabric, the advisor gate, ownership,
 # blocking acquisition and off-heap slabs, including the live-GC cell)
 # piped through benchlint; the pipeline hand-off example; and a
-# 100-iteration spin of the parallel Alloc benchmarks, of the
-# one-request region lifecycle (BenchmarkRegionRequest) and of counted
-# stores into one shared holder region (BenchmarkParallelSetRefOneHolder).
-# One round proves
-# the machinery, not a speedup: BENCH_pr13_ab.json records the real
+# 100-iteration spin of the parallel Alloc benchmarks (per-P regions,
+# and every P into one region: BenchmarkParallelAllocOneRegion, which
+# the BenchmarkParallelAlloc pattern matches), of the one-request
+# region lifecycle (BenchmarkRegionRequest) and of counted stores into
+# one shared holder region (BenchmarkParallelSetRefOneHolder). One
+# round proves the machinery, not a speedup: BENCH_pr13_ab.json records the real
 # 10-round run. The chaos phases run in chaos-smoke (its own CI job)
 # and, under -race, in the race target's TestChaos.
 ab-smoke:

@@ -12,6 +12,7 @@ package rcgo
 
 import (
 	"io"
+	"sync/atomic"
 	"testing"
 
 	"rcgo/internal/mem"
@@ -368,19 +369,52 @@ type reqNode struct {
 // BenchmarkRegionRequest serves one apache-shaped request per op — a
 // region with 11 Allocs, 20 SetSames and 13 SetRefs (4 of them into a
 // long-lived server region), then Delete, whose unscan releases every
-// counted slot. Its allocs/op price the registry and the unscan.
+// counted slot. Its allocs/op price the registry and the unscan
+// (TestRegionRequestAllocs holds them at one, the Region itself).
 func BenchmarkRegionRequest(b *testing.B) {
+	serve := requestServer(NewArena())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := serve(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRegionRequestAllocs holds BenchmarkRegionRequest's body to one
+// heap allocation per request: the Region. The object chunks come back
+// from the park and the pools, the registry's slots fit inline, and
+// neither admission nor the unscan allocates.
+func TestRegionRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, so chunk refills allocate")
+	}
+	serve := requestServer(NewArena())
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := serve(i); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("one request allocates %v times, want <= 1", allocs)
+	}
+}
+
+// requestServer builds BenchmarkRegionRequest's long-lived server
+// region in a and returns the per-op body: serve request i in a fresh
+// region, then delete it.
+func requestServer(a *Arena) func(i int) error {
 	const nodes, cross, local = 11, 4, 9
-	a := NewArena()
 	srv := a.NewRegion()
 	confs := make([]*Obj[reqNode], 16)
 	for i := range confs {
 		confs[i] = Alloc[reqNode](srv)
 	}
 	var ns [nodes]*Obj[reqNode]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) error {
 		r := a.NewRegion()
 		for k := range ns {
 			ns[k] = Alloc[reqNode](r)
@@ -395,15 +429,44 @@ func BenchmarkRegionRequest(b *testing.B) {
 		for k := 0; k < local; k++ {
 			MustSetRef(ns[k], &ns[k].Value.link, ns[(k+5)%nodes])
 		}
-		if err := r.Delete(); err != nil {
-			b.Fatal(err)
-		}
+		return r.Delete()
 	}
 }
 
 // BenchmarkParallelAlloc allocates from every P into its own region —
 // the webserver pattern of a region per request.
 func BenchmarkParallelAlloc(b *testing.B) { benchParallelAlloc(b, false) }
+
+// BenchmarkParallelAllocOneRegion allocates from every P into one
+// shared region, so the Ps share its object counter and its parked
+// chunk's cursor. Each P replaces the shared region after every 1<<15
+// of its own allocations, which bounds the memory a run retains; a P
+// that loses the race with a replacement retries in the new region.
+func BenchmarkParallelAllocOneRegion(b *testing.B) {
+	a := NewArena()
+	var cur atomic.Pointer[Region]
+	cur.Store(a.NewRegion())
+	b.RunParallel(func(pb *testing.PB) {
+		n := 0
+		for pb.Next() {
+			for {
+				if _, err := TryAlloc[parNode](cur.Load()); err == nil {
+					break
+				}
+			}
+			if n++; n == 1<<15 {
+				n = 0
+				if err := cur.Swap(a.NewRegion()).Delete(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}
+	})
+	if err := cur.Load().Delete(); err != nil {
+		b.Error(err)
+	}
+}
 
 // BenchmarkParallelAllocSetSame interleaves each allocation with an
 // annotated sameregion store — the paper's cheap-pointer pattern riding

@@ -49,8 +49,9 @@ func TestChaos(t *testing.T) {
 			t.Errorf("%s: no lifecycle events traced", name)
 		}
 	}
-	if c := ph["alloc-churn"].Counters; c.Allocs == 0 || c.AllocFlushes == 0 {
-		t.Errorf("alloc-churn phase inert: allocs=%d flushes=%d", c.Allocs, c.AllocFlushes)
+	if churn := ph["alloc-churn"]; churn.Counters.Allocs == 0 || churn.Fires["rcgo/alloc.refill"] == 0 {
+		t.Errorf("alloc-churn phase inert: allocs=%d refill fires=%d",
+			churn.Counters.Allocs, churn.Fires["rcgo/alloc.refill"])
 	}
 	fabric := ph["fabric"]
 	if fabric.Counters.Allocs == 0 {

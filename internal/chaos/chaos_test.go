@@ -99,8 +99,8 @@ func TestRunPhase(t *testing.T) {
 		"perturb": {2, scale(400, 150), traced},
 		"errors":  {1, scale(400, 150), traced},
 		"alloc-churn": {2, scale(2000, 500), func(r ConcResult) error {
-			if r.Counters.Allocs == 0 || r.Counters.AllocFlushes == 0 {
-				return fmt.Errorf("churn inert: allocs=%d flushes=%d", r.Counters.Allocs, r.Counters.AllocFlushes)
+			if r.Counters.Allocs == 0 || r.Fires["rcgo/alloc.refill"] == 0 {
+				return fmt.Errorf("churn inert: allocs=%d refill fires=%d", r.Counters.Allocs, r.Fires["rcgo/alloc.refill"])
 			}
 			return nil
 		}},
@@ -160,10 +160,7 @@ func TestRunPhase(t *testing.T) {
 
 func fires(t *testing.T) map[string]uint64 {
 	t.Helper()
-	out := make(map[string]uint64)
-	for _, st := range siteCoverage() {
-		out[st.Name] = st.Fires
-	}
+	out := siteFires()
 	if len(out) != 9 {
 		t.Fatalf("expected 9 rcgo sites, got %v", out)
 	}

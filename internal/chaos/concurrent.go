@@ -132,6 +132,10 @@ type ConcResult struct {
 	// counts — the advisor's exact-at-quiesce contract under churn.
 	AdvisorObservations int64
 	AdvisorSites        int
+	// Fires counts, per rcgo failpoint site, the fires while the
+	// phase's workers ran — the evidence that an armed site was on the
+	// phase's path at all. Sites that never fired are absent.
+	Fires map[string]uint64
 }
 
 // Summary is the one-line account of a phase result that Run logs and
@@ -140,7 +144,7 @@ type ConcResult struct {
 func (r ConcResult) Summary() string {
 	c := r.Counters
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d ops, allocs=%d flushes=%d", r.Ops, c.Allocs, c.AllocFlushes)
+	fmt.Fprintf(&b, "%d ops, allocs=%d refill fires=%d", r.Ops, c.Allocs, r.Fires["rcgo/alloc.refill"])
 	if r.ShardsPopulated > 0 {
 		fmt.Fprintf(&b, ", %d regions live on %d shards before quiesce", r.LiveBeforeQuiesce, r.ShardsPopulated)
 	}
@@ -191,6 +195,7 @@ func runConc(p *phase, cfg Config) (ConcResult, error) {
 	}
 	defer failpoint.DisableAll()
 
+	before := siteFires()
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -200,6 +205,12 @@ func runConc(p *phase, cfg Config) (ConcResult, error) {
 		}(w)
 	}
 	wg.Wait()
+	res.Fires = map[string]uint64{}
+	for name, n := range siteFires() {
+		if d := n - before[name]; d > 0 {
+			res.Fires[name] = d
+		}
+	}
 	if e.err != nil {
 		return res, e.err
 	}
@@ -411,9 +422,8 @@ var phases = []phase{
 		opts:  []rcgo.Option{rcgo.WithAdvisor()},
 		// Refused chunk refills at a high rate (the error path SeqRules
 		// cannot arm deterministically), transient admission failures,
-		// and yields inside the delete windows so reclaim's delta drain
-		// races the fast path's increment-then-validate loop as often as
-		// possible.
+		// and yields inside the delete windows so reclaim races the fast
+		// path's increment-then-validate loop as often as possible.
 		rules: map[string]failpoint.Rule{
 			"rcgo/alloc.admission": {Action: failpoint.ActionError, Num: 1, Den: 29},
 			"rcgo/alloc.refill":    {Action: failpoint.ActionError, Num: 1, Den: 3},
@@ -628,19 +638,19 @@ func treeSetup(e *env) phaseRun {
 }
 
 // allocChurnSetup is the allocation-churn phase: workers drive tight
-// TryAlloc loops through the fast path's chunk pools and batched
-// counter deltas (region_alloccache.go) while the regions being
-// allocated into are concurrently deleted out from under them — private
-// regions replaced mid-loop, and a small set of shared regions that any
-// worker may swap out and deferred-delete while the others still hold
-// the old pointer. Its rules refuse chunk refills and stretch the
-// delete windows, so reclaim's delta drain races the
-// increment-then-validate admission loop constantly.
+// TryAlloc loops through the fast path's chunk pools
+// (region_alloccache.go) and its increment-then-validate admission on
+// the region's object counter, while the regions being allocated into
+// are concurrently deleted out from under them — private regions
+// replaced mid-loop, and a small set of shared regions that any worker
+// may swap out and deferred-delete while the others still hold the old
+// pointer. Its rules refuse chunk refills and stretch the delete
+// windows, so reclaim races the admission loop constantly.
 //
-// The judge is exactness, not survival: any batched delta lost (or
-// double-counted) across a racing delete shows up as drift against the
-// workers' own success count, as a nonzero LiveObjects, or as an audit
-// violation. The annotation advisor rides along under the same
+// The judge is exactness, not survival: any admission counted on a
+// region that then died, or withdrawn from one that lived, shows up as
+// drift against the workers' own success count, as a nonzero
+// LiveObjects, or as an audit violation. The annotation advisor rides along under the same
 // contract: each fresh object gets a sameregion self-link, often into a
 // region mid-deletion, and the quiesced advisor table must count
 // exactly the links that succeeded.
@@ -672,8 +682,8 @@ func allocChurnSetup(e *env) phaseRun {
 			}
 			switch {
 			case rng.Intn(61) == 0:
-				// Replace the private region mid-loop: its parked deltas
-				// must drain through the deferred-delete flush.
+				// Replace the private region mid-loop, its objects still
+				// counted, while this worker's next admission races it.
 				private.DeleteDeferred()
 				private = a.NewRegion()
 			case rng.Intn(127) == 0:
@@ -681,10 +691,14 @@ func allocChurnSetup(e *env) phaseRun {
 				// into the old one — the alloc-vs-reclaim race proper.
 				shared.swap(a, rng)
 			case rng.Intn(89) == 0:
-				// Lock-free read that folds the pending deltas in.
+				// Lock-free read of the region's object counter.
 				_ = target.Objects()
 			case rng.Intn(149) == 0:
-				_ = target.Stats() // flush point under mu
+				_ = target.Stats() // snapshot under mu
+			case rng.Intn(173) == 0:
+				// The arena total, summed over the registry while
+				// regions register, die and unregister under it.
+				_ = a.LiveObjects()
 			}
 		}
 	}
@@ -701,10 +715,10 @@ func allocChurnSetup(e *env) phaseRun {
 //
 // The judge is the fabric aggregation contract: the fabric-wide audit
 // checks each shard's counters against exactly the regions whose ids
-// encode that shard, so any region accounted on the wrong shard, or any
-// delta flushed to the wrong shard's liveObjs, surfaces as an audit
-// violation or counter drift. The phase's own judge is the sample that
-// proves the population was genuinely multi-shard.
+// encode that shard, so any region accounted on the wrong shard
+// surfaces as an audit violation or counter drift, and LiveObjects
+// sums every shard's registry at quiesce. The phase's own judge is the
+// sample that proves the population was genuinely multi-shard.
 func fabricSetup(e *env) phaseRun {
 	a := e.a
 	// Each worker owns a ring of regions it continually replaces; the
@@ -1368,6 +1382,15 @@ func (rep *Report) runConc(p *phase, cfg Config) error {
 	}
 	cfg.logf("phase %s: ok, %s", p.name, res.Summary())
 	return nil
+}
+
+// siteFires returns each rcgo site's cumulative fire count.
+func siteFires() map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, st := range siteCoverage() {
+		out[st.Name] = st.Fires
+	}
+	return out
 }
 
 // siteCoverage returns the counter snapshot of the rcgo/* sites only

@@ -889,10 +889,12 @@ func RandomOps(seed int64, n int) []Op {
 // error-injection rule derived from seed. Error actions are the right
 // sequential chaos: they exercise every unwind path, and the harness's
 // per-op sweep heals the drains they suppress. The one exception is
-// rcgo/alloc.refill, which gets a yield rule: its evaluation stream
-// depends on chunk-pool and GC state (a refill only happens when the
-// pool comes up empty), so an error rule there would make the injected
-// outcome counts irreproducible across same-seed runs. Its error path
+// rcgo/alloc.refill, which gets a yield rule: the site is evaluated
+// only at the chunk-refill edge, on a park miss, and when a parked
+// chunk runs out depends on how far the chunks the sync.Pool hands
+// back were already consumed — pool and GC state — so an error rule
+// there would make the injected outcome counts irreproducible across
+// same-seed runs. Its error path
 // is exercised by the concurrent alloc-churn phase (concurrent.go)
 // and by unit tests instead.
 func SeqRules(seed uint64) map[string]failpoint.Rule {

@@ -11,22 +11,11 @@ import (
 //
 // The paper's whole cost argument is that region allocation is a pointer
 // bump: `ralloc` touches only region-local state, and safety is paid for
-// at pointer *assignments*, not allocations. The original TryAlloc
-// betrayed that: every object took the region's lifecycle mutex and
-// updated two arena-shared atomics (objs, liveObjs), so a tight Alloc
-// loop serialized on one lock and bounced two contended cache lines.
-// This file replaces that with two cooperating caches:
+// at pointer *assignments*, not allocations. TryAlloc keeps to that: it
+// takes no lock and writes no arena-shared cache line. Admission is one
+// fetch-add on the region's own object counter (region_api.go), and the
+// object header comes out of a pooled chunk:
 //
-//   - Batched counter deltas. Each region lazily owns a small block of
-//     cache-line-padded shards (allocCache); an admitted allocation adds
-//     +1 to one shard chosen by hashing the object address — the same
-//     Fibonacci scheme the slot registry uses, and goroutine-correlated
-//     because the Go allocator hands a goroutine addresses from its P's
-//     spans. Deltas drain into the real objs/liveObjs counters on a
-//     threshold, on Region.Stats / Arena.Stats, at DeleteDeferred's
-//     zombie transition, and at reclaim — so the counters are exact at
-//     every quiesce point (the Arena.Audit contract) while the hot loop
-//     touches one shard-local line.
 //   - Pooled object chunks. Obj headers are handed out of per-type
 //     chunks, so a chunk's worth of allocations costs one heap
 //     allocation. A partially-used chunk parks in a per-region slot
@@ -44,147 +33,10 @@ import (
 //     region's parked chunks to their pools so the chunk capacity
 //     outlives the region. Oversized types bypass chunking.
 //
-// Why exact-at-quiesce still holds (the increment-then-validate
-// argument, same shape as incRC): an allocation publishes its +1 delta
-// *before* loading the region state. Go atomics are sequentially
-// consistent, so if the load observed stateAlive, the +1 preceded any
-// later dying/dead store and therefore preceded reclaim's drain — an
-// admitted object's delta can never be missed by the reclaim that frees
-// it. An allocation that observes a deleted state withdraws its +1; if
-// a drain or flush captured the +1 before the withdrawal landed, both
-// halves of the pair eventually reach objs (every flush credits objs
-// AND liveObjs, and reclaim's final objs.Swap removes whatever objs
-// accumulated), so the pair nets to zero everywhere it can be seen.
-// Residual deltas parked on a reclaimed region's shards are exactly
-// such half-pairs and are never read again.
-//
-// The cache-refill edge carries the rcgo/alloc.refill failpoint: an
-// injected error is a transient allocator failure (surfaced before any
-// counting, so nothing unwinds), and its perturbations fire inside the
-// flush window, widening the interval during which deltas are in flight
-// between a shard and the real counters.
-
-// allocShards is the number of delta shards per region. Allocations
-// hash to a shard by object address, so concurrent allocators rarely
-// share a shard cache line.
-const allocShards = 8
-
-// allocFlushThreshold is the per-shard delta at which an allocation
-// attempts a best-effort flush. Worth at most threshold*shards of lag
-// on the scalar accessors between flush points; exactness never depends
-// on it.
-const allocFlushThreshold = 64
-
-// allocShard is one padded delta accumulator: pending admitted-object
-// count not yet credited to objs/liveObjs (transiently negative on a
-// deleted region while a failed allocation's withdraw is in flight).
-type allocShard struct {
-	pending atomic.Int64
-	_       [56]byte
-}
-
-// allocCache is a region's delta shard block, allocated lazily on the
-// first fast-path allocation (512 B; regions that never allocate pay a
-// nil pointer).
-type allocCache struct {
-	shards [allocShards]allocShard
-}
-
-func (c *allocCache) shard(p unsafe.Pointer) *allocShard {
-	h := uintptr(p) * 0x9E3779B97F4A7C15 >> 32
-	return &c.shards[h%allocShards]
-}
-
-// sum reads the shards without clearing them (the Objects accessor).
-func (c *allocCache) sum() int64 {
-	var d int64
-	for i := range c.shards {
-		d += c.shards[i].pending.Load()
-	}
-	return d
-}
-
-// drain atomically claims every shard's delta.
-func (c *allocCache) drain() int64 {
-	var d int64
-	for i := range c.shards {
-		d += c.shards[i].pending.Swap(0)
-	}
-	return d
-}
-
-// allocCache returns the region's delta block, creating it on first
-// use. The CAS race on creation is benign: the loser's empty block is
-// discarded before any delta lands in it.
-func (r *Region) allocCache() *allocCache {
-	if c := r.acache.Load(); c != nil {
-		return c
-	}
-	c := &allocCache{}
-	if r.acache.CompareAndSwap(nil, c) {
-		return c
-	}
-	return r.acache.Load()
-}
-
-// flushAllocPendingLocked drains the delta shards into objs and the
-// arena's liveObjs. Caller holds r.mu; the state word is therefore
-// stable and never stateDying. On a dead region the flush is skipped —
-// reclaim owns (or already performed) the final drain, and crediting
-// counters after reclaim's objs.Swap would leak into the arena total.
-func (r *Region) flushAllocPendingLocked() {
-	c := r.acache.Load()
-	if c == nil || r.state.Load() == stateDead {
-		return
-	}
-	// Perturbation point inside the flush window: deltas claimed from the
-	// shards are in flight to the real counters while mu is held.
-	fpAllocRefill.Perturb()
-	if d := c.drain(); d != 0 {
-		r.objs.Add(d)
-		r.shard.liveObjs.Add(d)
-		if m := r.counters(); m != nil {
-			m.allocFlushes.Add(1)
-		}
-	}
-}
-
-// tryFlushAllocPending is the threshold flush: best-effort, because the
-// fast path must never block behind a slow lifecycle operation. A
-// skipped flush retries on the next threshold crossing, and Stats,
-// delete and reclaim flush unconditionally.
-func (r *Region) tryFlushAllocPending() {
-	if !r.mu.TryLock() {
-		return
-	}
-	r.flushAllocPendingLocked()
-	r.mu.Unlock()
-}
-
-// drainAllocPendingReclaim is reclaim's drain (state already stateDead,
-// made exactly once): credit whatever deltas remain so the final
-// objs.Swap removes exactly this region's contribution from liveObjs.
-// Deltas that race in after this drain are failed-admission half-pairs
-// and net to zero unobserved (see the file comment).
-func (r *Region) drainAllocPendingReclaim() {
-	if c := r.acache.Load(); c != nil {
-		if d := c.drain(); d != 0 {
-			r.objs.Add(d)
-			r.shard.liveObjs.Add(d)
-		}
-	}
-}
-
-// flushAllocPending drains every registered region's delta shards, so
-// arena-wide totals are exact at quiesce. Regions are locked one at a
-// time, like every other whole-arena walk.
-func (a *Arena) flushAllocPending() {
-	a.EachRegion(func(r *Region) {
-		r.mu.Lock()
-		r.flushAllocPendingLocked()
-		r.mu.Unlock()
-	})
-}
+// The GC-heap chunk-refill edge, taken on every park miss, carries the
+// rcgo/alloc.refill failpoint: an injected error is a transient
+// allocator failure, surfaced before the object is counted, so nothing
+// unwinds.
 
 // ---------------------------------------------------------------------------
 // Pooled object chunks.
@@ -271,7 +123,7 @@ const chunkParkSlots = 1 << chunkParkSlotBits
 // chunkParkSlot picks the region parking slot for an object size by
 // Fibonacci hashing: the slot is the *top* chunkParkSlotBits bits of
 // size * 2^64/φ. It must not take the low bits of the high word, as the
-// address hashes above do: those pick the same slot for every size 8 to
+// address hashes of the fabric and the metrics shards do: those pick the same slot for every size 8 to
 // 128 B, so two interleaved types would evict each other's chunk on
 // every switch. Over the 8-byte multiples up to 512 B the slots fill
 // 12/17/16/19. Called with unsafe.Sizeof, the slot is a compile-time
@@ -298,7 +150,7 @@ func chunkPool[T any]() *sync.Pool {
 // chunk stays parked while allocators share it, so the slot word is
 // written only on refill, exhaustion or a type mismatch. A slot miss
 // falls through to the sync.Pool, and only a pool miss allocates a
-// fresh chunk. That refill edge is the rcgo/alloc.refill failpoint: an
+// fresh chunk. The slot miss is the rcgo/alloc.refill failpoint: an
 // injected error surfaces before the object is counted, so a refused
 // refill unwinds nothing.
 //
@@ -347,8 +199,12 @@ func newChunkedObj[T any](r *Region) (*Obj[T], error) {
 // then a fresh make. Pooled chunks may arrive partially consumed
 // (handoff races below put them back with slots remaining) or, rarely,
 // exhausted by a racer that still held them — the cursor check covers
-// both.
+// both. The rcgo/alloc.refill failpoint sits at its head, so it fires
+// on every park miss whether the pool or a make serves it.
 func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T], error) {
+	if err := fpAllocRefill.Eval(); err != nil {
+		return nil, fmt.Errorf("%w: allocation in region %d", err, r.id)
+	}
 	var probe Obj[T]
 	ch, _ := chunkPool[T]().Get().(*objChunk[T])
 	for {
@@ -364,9 +220,6 @@ func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T
 				return o, nil
 			}
 			ch = nil
-		}
-		if err := fpAllocRefill.Eval(); err != nil {
-			return nil, fmt.Errorf("%w: allocation in region %d", err, r.id)
 		}
 		n := chunkTargetBytes / int(unsafe.Sizeof(probe))
 		if n < 4 {

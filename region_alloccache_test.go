@@ -13,56 +13,8 @@ import (
 
 type cachePayload struct{ a, b, c int64 }
 
-// Below the flush threshold, allocation deltas stay parked in the shard
-// cache: objs is stale, Objects() folds the pending deltas in, and
-// Stats is a flush point that settles the real counter.
-func TestAllocCacheFlushOnStats(t *testing.T) {
-	a := NewArena(WithMetrics())
-	r := a.NewRegion()
-	const n = 10
-	for i := 0; i < n; i++ {
-		if _, err := TryAlloc[cachePayload](r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := r.objs.Load(); got != 0 {
-		t.Fatalf("objs = %d before any flush point, want 0 (deltas parked)", got)
-	}
-	if got := r.Objects(); got != n {
-		t.Fatalf("Objects() = %d, want %d (pending deltas folded in)", got, n)
-	}
-	if got := r.Stats().Objects; got != n {
-		t.Fatalf("Stats().Objects = %d, want %d", got, n)
-	}
-	if got := r.objs.Load(); got != n {
-		t.Fatalf("objs = %d after the Stats flush, want %d", got, n)
-	}
-	if got := a.Counters().AllocFlushes; got == 0 {
-		t.Fatal("the Stats flush was not counted")
-	}
-}
-
-// A long enough allocation run must cross the per-shard threshold and
-// flush without any explicit flush point being exercised.
-func TestAllocCacheThresholdFlush(t *testing.T) {
-	a := NewArena(WithMetrics())
-	r := a.NewRegion()
-	const n = 2 * allocShards * allocFlushThreshold
-	for i := 0; i < n; i++ {
-		if _, err := TryAlloc[cachePayload](r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.Counters().AllocFlushes; got == 0 {
-		t.Fatalf("no threshold flush over %d allocations", n)
-	}
-	if got := r.Objects(); got != n {
-		t.Fatalf("Objects() = %d, want %d", got, n)
-	}
-}
-
-// Delete must account for every parked delta: reclaim drains the
-// shards, so the arena total returns to zero exactly.
+// Delete must account for every admitted object: once the region is
+// reclaimed the arena total returns to zero exactly.
 func TestAllocCacheFlushOnDelete(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
@@ -71,9 +23,6 @@ func TestAllocCacheFlushOnDelete(t *testing.T) {
 		if _, err := TryAlloc[cachePayload](r); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := r.objs.Load(); got != 0 {
-		t.Fatalf("objs = %d before a flush point, want 0 (deltas parked)", got)
 	}
 	if got := a.LiveObjects(); got != n {
 		t.Fatalf("LiveObjects = %d before delete, want %d", got, n)
@@ -89,9 +38,8 @@ func TestAllocCacheFlushOnDelete(t *testing.T) {
 	}
 }
 
-// DeleteDeferred flushes at the deferral point: a zombie's objs counter
-// is settled (its objects stay live until reclaim), and the eventual
-// drain returns the arena to zero.
+// A zombie's objects stay live until reclaim, so it keeps its count,
+// and the eventual drain returns the arena to zero.
 func TestAllocCacheFlushOnDeleteDeferred(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
@@ -113,8 +61,11 @@ func TestAllocCacheFlushOnDeleteDeferred(t *testing.T) {
 	if !r.Deferred() {
 		t.Fatal("pinned region did not become a zombie")
 	}
-	if got := r.objs.Load(); got != n {
-		t.Fatalf("zombie objs = %d, want %d (deltas flushed at the deferral point)", got, n)
+	if got := r.Objects(); got != n {
+		t.Fatalf("zombie Objects() = %d, want %d", got, n)
+	}
+	if got := a.LiveObjects(); got != n {
+		t.Fatalf("LiveObjects = %d with the zombie pinned, want %d", got, n)
 	}
 	if got := r.Stats().Objects; got != n {
 		t.Fatalf("zombie Stats().Objects = %d, want %d", got, n)
@@ -134,7 +85,7 @@ func TestAllocCacheFlushOnDeleteDeferred(t *testing.T) {
 // Randomized churn: regions created, filled and deleted in arbitrary
 // order must leave the arena total equal to the surviving regions' sum,
 // the cumulative Allocs counter equal to the exact success count, and
-// the audit clean — no delta may drift across any flush path.
+// the audit clean — no admission may drift across a delete.
 func TestAllocCacheAuditAfterChurn(t *testing.T) {
 	a := NewArena(WithMetrics())
 	rng := rand.New(rand.NewSource(1))
@@ -177,9 +128,10 @@ func TestAllocCacheAuditAfterChurn(t *testing.T) {
 	}
 }
 
-// Concurrent chunk refills and delta publishes racing region deletion:
-// run under -race, exact at quiesce. The refill failpoint yields inside
-// the refill and flush windows to widen the races.
+// Concurrent chunk refills and admissions racing region deletion: run
+// under -race, exact at quiesce, and every deleted region reads 0
+// objects. The refill failpoint yields at the refill edge to widen the
+// races.
 func TestAllocCacheConcurrentRefillVsDelete(t *testing.T) {
 	if err := failpoint.Enable("rcgo/alloc.refill",
 		failpoint.Rule{Action: failpoint.ActionYield, Num: 1, Den: 2, Seed: 7}); err != nil {
@@ -213,23 +165,89 @@ func TestAllocCacheConcurrentRefillVsDelete(t *testing.T) {
 	if testing.Short() {
 		swaps = 50
 	}
+	dead := make([]*Region, 0, swaps+1)
 	for i := 0; i < swaps; i++ {
 		old := cur.Swap(a.NewRegion())
 		old.DeleteDeferred()
+		dead = append(dead, old)
 	}
 	close(stop)
 	wg.Wait()
 	failpoint.DisableAll()
 	cur.Load().DeleteDeferred()
+	dead = append(dead, cur.Load())
 	a.SweepZombies()
+	for _, r := range dead {
+		assertDeadReadsZero(t, r)
+	}
 	if got := a.LiveObjects(); got != 0 {
 		t.Fatalf("LiveObjects = %d at quiesce, want 0", got)
+	}
+	if got := a.Stats().LiveObjects; got != 0 {
+		t.Fatalf("Stats().LiveObjects = %d at quiesce, want 0", got)
 	}
 	if got := a.DeferredRegions(); got != 0 {
 		t.Fatalf("DeferredRegions = %d at quiesce, want 0", got)
 	}
 	if rep := a.Audit(); !rep.OK {
 		t.Fatalf("audit at quiesce:\n%s", rep)
+	}
+}
+
+// assertDeadReadsZero checks a reclaimed region's object count: a
+// fresh allocation is refused with ErrRegionDeleted, and both readers
+// report 0 afterwards.
+func assertDeadReadsZero(t *testing.T, r *Region) {
+	t.Helper()
+	if _, err := TryAlloc[cachePayload](r); !errors.Is(err, ErrRegionDeleted) {
+		t.Fatalf("TryAlloc on reclaimed region %d: %v, want ErrRegionDeleted", r.ID(), err)
+	}
+	if got := r.Objects(); got != 0 {
+		t.Fatalf("reclaimed region %d: Objects() = %d, want 0", r.ID(), got)
+	}
+	if st := r.Stats(); !st.Reclaimed || st.Objects != 0 {
+		t.Fatalf("reclaimed region %d: Stats() = %+v, want Reclaimed with 0 objects", r.ID(), st)
+	}
+}
+
+// A dead region reads 0 objects, whatever its counter holds: after a
+// Delete, after a refused allocation, and inside a refused admission's
+// window (its +1 landed, its withdrawal not yet). The arena total stays
+// the surviving region's count throughout.
+func TestDeadRegionReadsZeroObjects(t *testing.T) {
+	a := NewArena()
+	keep, r := a.NewRegion(), a.NewRegion()
+	const kept, n = 7, 40
+	for i := 0; i < kept; i++ {
+		Alloc[cachePayload](keep)
+	}
+	for i := 0; i < n; i++ {
+		Alloc[cachePayload](r)
+	}
+	if got := a.LiveObjects(); got != kept+n {
+		t.Fatalf("LiveObjects = %d before delete, want %d", got, kept+n)
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	assertDeadReadsZero(t, r)
+	// A refused admission counts first and withdraws after reading the
+	// state; hold its window open by hand.
+	r.objs.Add(1)
+	if got := r.Objects(); got != 0 {
+		t.Fatalf("Objects() = %d inside a refused admission's window, want 0", got)
+	}
+	if got := r.Stats().Objects; got != 0 {
+		t.Fatalf("Stats().Objects = %d inside a refused admission's window, want 0", got)
+	}
+	r.objs.Add(-1)
+	for _, got := range []int64{a.LiveObjects(), a.Stats().LiveObjects} {
+		if got != kept {
+			t.Fatalf("arena live objects = %d after the delete, want %d", got, kept)
+		}
+	}
+	if rep := a.Audit(); !rep.OK {
+		t.Fatalf("audit:\n%s", rep)
 	}
 }
 
@@ -290,8 +308,8 @@ func TestChunkedAllocZeroValue(t *testing.T) {
 	}
 }
 
-// Oversized types bypass the chunk pool but use the same delta-batched
-// admission, keeping accounting uniform.
+// Oversized types bypass the chunk pool but use the same admission,
+// keeping accounting uniform.
 func TestAllocOversizedBypassesChunks(t *testing.T) {
 	type big struct{ x [2048]byte }
 	a := NewArena()

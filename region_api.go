@@ -123,10 +123,6 @@ type Region struct {
 	// Written once in newRegion, before the region is published.
 	instr *instruments
 
-	// acache is the lazily-created allocation delta cache
-	// (region_alloccache.go).
-	acache atomic.Pointer[allocCache]
-
 	// mu serializes lifecycle decisions. The counters stay atomic so the
 	// reference fast paths (incRC/decRC) and stat reads never block on it.
 	mu       sync.Mutex
@@ -298,13 +294,13 @@ func Alloc[T any](r *Region) *Obj[T] {
 //
 // Fast path (region_alloccache.go): the object comes out of a pooled
 // per-type chunk, and admission is the same increment-then-validate
-// protocol incRC uses — publish a +1 delta on a shard-local cache line,
-// then check the region state. If the check observes stateAlive the
-// allocation is admitted (that load is its linearization point: a delete
-// committing afterwards simply owns the object, exactly as if it had
-// raced the old mutex-admitted path); any other settled state withdraws
-// the delta and fails. No lock is taken and no arena-shared cache line
-// is touched except by the occasional batched flush.
+// protocol incRC uses, on the region's own object counter — count the
+// object, then check the region state. If the check observes stateAlive
+// the allocation is admitted (that load is its linearization point: a
+// delete committing afterwards simply owns the object, exactly as if it
+// had raced a mutex-admitted path); any other settled state withdraws
+// the count and fails. No lock is taken and no arena-shared cache line
+// is touched.
 func TryAlloc[T any](r *Region) (*Obj[T], error) {
 	if err := fpAllocAdmission.Eval(); err != nil {
 		return nil, fmt.Errorf("%w: allocation in region %d", err, r.id)
@@ -313,28 +309,24 @@ func TryAlloc[T any](r *Region) (*Obj[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := r.allocCache().shard(unsafe.Pointer(o))
 	for {
-		n := sh.pending.Add(1)
+		r.objs.Add(1)
 		switch r.state.Load() {
 		case stateAlive:
-			if n >= allocFlushThreshold {
-				r.tryFlushAllocPending()
-			}
 			if c := r.counters(); c != nil {
 				c.allocs.Add(1)
 			}
 			return o, nil
 		case stateDying:
 			// A delete holds mu and is deciding; it may still fail, so
-			// withdraw the provisional delta and re-decide once settled.
-			sh.pending.Add(-1)
+			// withdraw the provisional count and re-decide once settled.
+			r.objs.Add(-1)
 			runtime.Gosched()
 		case stateOwned:
-			sh.pending.Add(-1)
+			r.objs.Add(-1)
 			return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionOwned, r.id)
 		default:
-			sh.pending.Add(-1)
+			r.objs.Add(-1)
 			return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionDeleted, r.id)
 		}
 	}
@@ -581,11 +573,6 @@ func (r *Region) DeleteDeferred() {
 		return
 	}
 	r.state.Store(stateDying)
-	// Flush the batched allocation deltas at the deferral point: a
-	// zombie keeps its objects live until reclaim, so its objs count
-	// must be settled for Stats readers and the auditor. (The
-	// immediate-reclaim branch below relies on reclaim's own drain.)
-	r.flushAllocPendingLocked()
 	drained := r.rc.Load() == 0 && r.children.Load() == 0
 	// Same dying-window failpoint as Delete, but DeleteDeferred has no
 	// error return: only the perturbing actions (delay/yield/hook) apply.
@@ -625,14 +612,10 @@ func (r *Region) DeleteDeferred() {
 // parked are the counted slots of the deleting owner's token (nil on
 // every shared path): the unscan releases them with the registry's.
 func (r *Region) reclaim(parked []releaser) {
-	// Drain the batched allocation deltas before the final swap: every
-	// admitted object's delta landed before the dead state was stored
-	// (the admission check saw stateAlive first — see the seq-cst
-	// argument in region_alloccache.go), so crediting the remainder here
-	// and then swapping objs removes exactly this region's contribution
-	// from the arena total.
-	r.drainAllocPendingReclaim()
-	r.shard.liveObjs.Add(-r.objs.Swap(0))
+	// The region's objects need no accounting here: a dead region reads
+	// 0 objects whatever its counter holds (Region.Objects), and the
+	// arena total sums only the regions still registered.
+	//
 	// Return parked allocation chunks to their per-type pools: the park
 	// is a strong reference, and a dead region must not retain chunk
 	// capacity other regions could reuse. A chunk an allocator raced out

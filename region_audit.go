@@ -32,10 +32,7 @@ import (
 // entirely while any region is owned (sampled at scan start and again
 // at check time), and the rule becomes exact again once every token is
 // released (the chaos ownership phase audits after quiesce, when
-// Acquires == Releases).
-// Everything else stays exact: an owned region's unflushed owner-local
-// allocations are missing from st.Objects and from its shard's liveObjs
-// equally, so the live-objects-total cross-check holds throughout.
+// Acquires == Releases). Everything else stays exact.
 
 // Audit rule names, one per invariant class. Enumerated in DESIGN.md
 // §"Failure model".
@@ -67,22 +64,13 @@ const (
 	// subregions but was not reclaimed — a lost drain wakeup (the
 	// zombie.drain failpoint induces this; SweepZombies heals it).
 	AuditZombieReclaimable = "zombie-reclaimable"
-	// AuditLiveRegionsTotal / AuditDeferredRegionsTotal /
-	// AuditLiveObjectsTotal: a fabric shard's slice of an arena-wide
-	// total disagrees with the sum over the regions assigned to that
-	// shard (region_fabric.go). Checked per shard, so a region accounted
-	// on the wrong shard is a violation even when the arena-wide sum
-	// happens to balance.
+	// AuditLiveRegionsTotal / AuditDeferredRegionsTotal: a fabric
+	// shard's slice of an arena-wide total disagrees with the sum over
+	// the regions assigned to that shard (region_fabric.go). Checked per
+	// shard, so a region accounted on the wrong shard is a violation
+	// even when the arena-wide sum happens to balance.
 	AuditLiveRegionsTotal     = "live-regions-total"
 	AuditDeferredRegionsTotal = "deferred-regions-total"
-	AuditLiveObjectsTotal     = "live-objects-total"
-	// AuditAllocPending: a non-reclaimed region still holds batched
-	// allocation deltas (region_alloccache.go) immediately after the
-	// Stats flush the auditor just performed. On a quiesced arena every
-	// delta must have drained — a residue means a flush point was missed;
-	// on a live arena in-flight allocations make this advisory, like
-	// rc-accounting.
-	AuditAllocPending = "alloc-pending"
 	// AuditOwnedState: a region's owned flag and its owner token pointer
 	// disagree — stateOwned with no Owner installed, or an Owner
 	// installed on a region that is not owned (region_owner.go). Both
@@ -231,7 +219,6 @@ func (a *Arena) Audit() AuditReport {
 	liveByShard := make([]int64, len(a.shards))
 	deferredByShard := make([]int64, len(a.shards))
 	ownedByShard := make([]int64, len(a.shards))
-	objByShard := make([]int64, len(a.shards))
 	waitersByShard := make([]int64, len(a.shards))
 	for _, r := range regions {
 		ownerBefore := r.owner.Load() != nil
@@ -276,7 +263,6 @@ func (a *Arena) Audit() AuditReport {
 			add(AuditWaitersOnUnowned, r.id, int64(waitersAfter), 0,
 				"%d AcquireContext waiters parked on a region that is not owned", waitersAfter)
 		}
-		objByShard[shard] += st.Objects
 		for name, v := range map[string]int64{
 			"rc": st.RC, "pins": st.Pins, "objects": st.Objects, "subregions": st.Subregions,
 		} {
@@ -291,14 +277,6 @@ func (a *Arena) Audit() AuditReport {
 			!ownedSomewhere && a.OwnedRegions() == 0 {
 			add(AuditRCAccounting, r.id, st.RC, want,
 				"rc %d != pins %d + inbound slots %d", st.RC, st.Pins, inbound[r])
-		}
-		// st came from Stats, which drained the region's delta shards;
-		// anything parked now arrived after that flush.
-		if c := r.acache.Load(); c != nil {
-			if d := c.sum(); d != 0 {
-				add(AuditAllocPending, r.id, d, 0,
-					"%d batched allocation deltas parked after a Stats flush", d)
-			}
 		}
 		if st.Deferred && st.RC == 0 && st.Subregions == 0 {
 			add(AuditZombieReclaimable, r.id, st.RC, 0,
@@ -337,10 +315,6 @@ func (a *Arena) Audit() AuditReport {
 		if got, want := sh.deferredRegions.Load(), deferredByShard[i]; got != want {
 			add(AuditDeferredRegionsTotal, 0, got, want,
 				"shard %d DeferredRegions %d != %d zombie registered regions", i, got, want)
-		}
-		if got, want := sh.liveObjs.Load(), objByShard[i]; got != want {
-			add(AuditLiveObjectsTotal, 0, got, want,
-				"shard %d LiveObjects %d != %d summed over regions", i, got, want)
 		}
 		if got, want := sh.ownedRegions.Load(), ownedByShard[i]; got != want {
 			add(AuditOwnedRegionsTotal, 0, got, want,

@@ -133,11 +133,6 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		a.shards[0].deferredRegions.Add(1)
 		violated(t, a, AuditDeferredRegionsTotal)
 	})
-	t.Run(AuditLiveObjectsTotal, func(t *testing.T) {
-		a := NewArena()
-		a.shards[0].liveObjs.Add(1)
-		violated(t, a, AuditLiveObjectsTotal)
-	})
 	t.Run(AuditAcquireWaitersTotal, func(t *testing.T) {
 		a := NewArena()
 		a.shards[0].acquireWaiters.Add(1) // gauge with no parked waiter behind it

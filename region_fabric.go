@@ -10,25 +10,26 @@ import (
 // The sharding fabric inside an Arena (DESIGN.md §12).
 //
 // One arena used to funnel every region through a single id counter, one
-// pair of arena-wide population counters (liveRegions/deferredRegions),
-// one liveObjs total, and one 16-way registry — shared cache lines that
-// every region creation, deletion and batched-delta flush bounced
-// between cores. The fabric splits the arena into N internal shards
-// (default derived from GOMAXPROCS at construction): a region is
-// assigned to one shard for life at creation, and everything the region
-// updates on the arena's behalf — its id sequence, its registry entry,
-// its contribution to the live-object and population totals — lives on
-// that shard's cache lines. Regions created by different goroutines land
-// on different shards (assignment hashes the region's own address, which
-// the Go allocator hands out from the creating P's spans), so concurrent
-// region churn stops sharing lines.
+// pair of arena-wide population counters (liveRegions/deferredRegions)
+// and one 16-way registry — shared cache lines that every region
+// creation and deletion bounced between cores. The fabric splits the
+// arena into N internal shards (default derived from GOMAXPROCS at
+// construction): a region is assigned to one shard for life at
+// creation, and everything the region updates on the arena's behalf —
+// its id sequence, its registry entry, its contribution to the
+// population totals — lives on that shard's cache lines. Regions
+// created by different goroutines land on different shards (assignment
+// hashes the region's own address, which the Go allocator hands out
+// from the creating P's spans), so concurrent region churn stops
+// sharing lines.
 //
 // The fabric still looks like exactly one arena to callers:
 //
-//   - ArenaStats, LiveObjects, LiveRegions, DeferredRegions and
-//     Counters() aggregate across shards, with the same exact-at-quiesce
-//     contract as before (each per-shard total is maintained at the same
-//     program points the arena-wide total used to be).
+//   - ArenaStats, LiveRegions, DeferredRegions and Counters() aggregate
+//     across shards, with the same exact-at-quiesce contract as before
+//     (each per-shard total is maintained at the same program points the
+//     arena-wide total used to be). LiveObjects keeps no shard total at
+//     all: it sums the registered regions' own object counters.
 //   - EachRegion walks the shards in ascending shard-index order (see
 //     its doc comment for the consistency contract).
 //   - Audit() cross-checks every shard's totals against the regions
@@ -67,15 +68,16 @@ type arenaShard struct {
 	// seq<<shardIDBits | shardIndex, so sequences on different shards can
 	// never mint the same id.
 	nextSeq atomic.Int64
-	// liveObjs / liveRegions / deferredRegions / ownedRegions are this
-	// shard's slice of the arena totals, covering exactly the regions
-	// assigned to the shard. Updated at the same program points the
-	// arena-wide counters used to be (creation, every delete-state
-	// transition, batched-delta flushes, reclaim; ownedRegions at the
-	// alive ⇄ owned transitions in region_owner.go), so summing the
-	// shards preserves the exact-at-quiesce contract. An owned region
-	// still counts in liveRegions — ownership is a mode of being alive.
-	liveObjs        atomic.Int64
+	// liveRegions / deferredRegions / ownedRegions are this shard's
+	// slice of the arena's region populations, covering exactly the
+	// regions assigned to the shard. Updated at the same program points
+	// the arena-wide counters used to be (creation, every delete-state
+	// transition; ownedRegions at the alive ⇄ owned transitions in
+	// region_owner.go), so summing the shards preserves the
+	// exact-at-quiesce contract. An owned region still counts in
+	// liveRegions — ownership is a mode of being alive. The live-object
+	// total has no shard slice: each region's own object counter is the
+	// one count (Arena.LiveObjects sums them over the registry).
 	liveRegions     atomic.Int64
 	deferredRegions atomic.Int64
 	ownedRegions    atomic.Int64
@@ -85,7 +87,7 @@ type arenaShard struct {
 	// Zero at quiesce; the audit cross-checks it against the sum of the
 	// shard's wait-queue lengths.
 	acquireWaiters atomic.Int64
-	_              [16]byte // pad the hot counters to a line of their own
+	_              [24]byte // pad the hot counters to a line of their own
 
 	// registry is the shard's segment of the id→region index behind
 	// EachRegion and the debug inspector: regions register at creation

@@ -33,15 +33,15 @@ import "rcgo/internal/failpoint"
 //	                      unwinds the store (decRC rollback), a yield
 //	                      widens the count-vs-registry window the
 //	                      delete-time unscan depends on.
-//	rcgo/alloc.refill     the allocation fast path's cache edges
-//	                      (region_alloccache.go): an injected error is
-//	                      a refused chunk refill (a transient allocator
-//	                      failure surfaced before the object is
-//	                      counted, so nothing unwinds); perturbations
-//	                      fire inside the delta-flush window, widening
-//	                      the interval during which batched counter
-//	                      deltas are in flight between a shard and the
-//	                      real objs/liveObjs counters.
+//	rcgo/alloc.refill     the allocation fast path's GC-heap refill
+//	                      edge (region_alloccache.go), evaluated on
+//	                      every park miss before the pool is tried:
+//	                      an injected error is a refused chunk refill
+//	                      (a transient allocator failure surfaced
+//	                      before the object is counted, so nothing
+//	                      unwinds); a delay or yield stretches the
+//	                      refill while other allocators and a
+//	                      concurrent delete race past it.
 //	rcgo/own.release      Owner.Release and Owner.Delete, at the head
 //	                      of the flush window (mu held, nothing merged
 //	                      yet) — an injected error is a transient

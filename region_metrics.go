@@ -59,7 +59,6 @@ type counterShard struct {
 	deferredDeletes  atomic.Int64
 	reclaims         atomic.Int64
 	pinOps           atomic.Int64
-	allocFlushes     atomic.Int64
 	acquires         atomic.Int64
 	releases         atomic.Int64
 	ownerFlushes     atomic.Int64
@@ -146,11 +145,6 @@ type ArenaCounters struct {
 	Reclaims int64 `json:"reclaims"`
 	// PinOps counts successful Pin/TryPin calls.
 	PinOps int64 `json:"pin_ops"`
-	// AllocFlushes counts non-empty drains of the allocation fast
-	// path's batched counter deltas (region_alloccache.go) — flush
-	// batching efficiency, not an object count: Allocs/AllocFlushes
-	// approximates objects credited per flush.
-	AllocFlushes int64 `json:"alloc_flushes"`
 	// Acquires / Releases count successful exclusive-ownership
 	// transitions (region_owner.go), whether uncontended or delivered by
 	// hand-off. An Owner.Delete counts as one release and one delete; a
@@ -159,8 +153,7 @@ type ArenaCounters struct {
 	Acquires int64 `json:"acquires"`
 	Releases int64 `json:"releases"`
 	// OwnerFlushes counts Release-time merges of owner-local metric
-	// deltas that carried at least one nonzero counter — the ownership
-	// analogue of AllocFlushes.
+	// deltas that carried at least one nonzero counter.
 	OwnerFlushes int64 `json:"owner_flushes"`
 	// AcquireWaits counts AcquireContext calls that found the region
 	// owned and parked on its wait queue; AcquireTimeouts and
@@ -210,7 +203,6 @@ func (a *Arena) Counters() ArenaCounters {
 		c.DeferredDeletes += s.deferredDeletes.Load()
 		c.Reclaims += s.reclaims.Load()
 		c.PinOps += s.pinOps.Load()
-		c.AllocFlushes += s.allocFlushes.Load()
 		c.Acquires += s.acquires.Load()
 		c.Releases += s.releases.Load()
 		c.OwnerFlushes += s.ownerFlushes.Load()

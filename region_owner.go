@@ -195,8 +195,7 @@ type Owner struct {
 	// r is the owned region; nil once the token has been released or
 	// consumed by Owner.Delete.
 	r *Region
-	// objs is the owned-allocation count not yet flushed to r.objs and
-	// the fabric shard's liveObjs.
+	// objs is the owned-allocation count not yet flushed to r.objs.
 	objs int64
 	// m is the owner-local metric deltas.
 	m ownerCounters
@@ -277,10 +276,6 @@ func (r *Region) acquireLocked() (*Owner, error) {
 	default: // dying cannot be observed under mu; zombie or dead
 		return nil, fmt.Errorf("%w: Acquire of region %d", ErrRegionDeleted, r.id)
 	}
-	// Settle the batched allocation deltas so owner-local accounting
-	// starts from flushed counters (late shared admissions that raced
-	// the transition flush again at Release).
-	r.flushAllocPendingLocked()
 	o := &Owner{r: r}
 	r.owner.Store(o)
 	r.state.Store(stateOwned)
@@ -514,13 +509,8 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 func (o *Owner) flushLocked(r *Region) {
 	if o.objs != 0 {
 		r.objs.Add(o.objs)
-		r.shard.liveObjs.Add(o.objs)
 		o.objs = 0
 	}
-	// Late shared-path admissions (TryAlloc calls that loaded stateAlive
-	// just before the Acquire transition) parked deltas in the alloc
-	// cache; settle them on the same edge.
-	r.flushAllocPendingLocked()
 	if c := r.counters(); c != nil && o.m.any() {
 		c.allocs.Add(o.m.allocs)
 		for f, n := range o.m.stores {
@@ -676,13 +666,13 @@ func (o *Owner) Delete() error {
 // plain fields (that would race a still-running owner); it only sets
 // the token's one atomic and swaps the region's owner pointer under mu.
 // The cost of discarding: owned allocations and metric deltas made
-// through the condemned token vanish from the counters (consistently —
-// both per-region and shard sides miss them equally), and any rc units
-// held by parked SetRefOwned slots are leaked. That is the documented
-// price of tearing a token out of a crashed goroutine's hands; a
-// still-running owner that mutates through the token after revocation
-// is a data race, the same contract as using a token from two
-// goroutines.
+// through the condemned token vanish from the counters (the region's
+// object counter is the only count, so no total disagrees with it), and
+// any rc units held by parked SetRefOwned slots are leaked. That is the
+// documented price of tearing a token out of a crashed goroutine's
+// hands; a still-running owner that mutates through the token after
+// revocation is a data race, the same contract as using a token from
+// two goroutines.
 //
 // Returns false when expect no longer holds the region — a legitimate
 // Release (or Owner.Delete) won the race, and nothing happens.
@@ -756,7 +746,7 @@ func AllocOwned[T any](o *Owner) *Obj[T] {
 // TryAllocOwned allocates a zero T in the owned region through its
 // token. The owned path skips everything the shared TryAlloc pays for
 // admission: no state-check loop (the token proves the region is
-// owned-alive), no batched-delta atomics, no shared counter updates —
+// owned-alive), no atomic on the region's object counter —
 // the object count and the metric delta are plain increments on the
 // token, flushed at Release. The object itself still comes from the
 // pooled per-type chunks (region_alloccache.go); their cursor atomics

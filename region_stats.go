@@ -1,9 +1,7 @@
 package rcgo
 
 // Snapshot-consistent statistics for the concurrent Go-native runtime.
-// The scalar accessors (RC, Pins, …) are lock-free (Objects and the
-// arena-wide readers additionally fold in or drain the allocation
-// fast path's batched deltas, region_alloccache.go); the Stats methods
+// The scalar accessors (RC, Pins, …) are lock-free; the Stats methods
 // take the lifecycle lock so the state word cannot change mid-snapshot
 // and re-read the reference count until it is stable, so a snapshot
 // never pairs a pre-delete count with a post-delete state.
@@ -16,7 +14,8 @@ type RegionStats struct {
 	RC int64
 	// Pins is the pin subset of RC.
 	Pins int64
-	// Objects is the number of live objects in the region.
+	// Objects is the number of live objects in the region (0 once
+	// reclaimed).
 	Objects int64
 	// Subregions is the number of live child regions.
 	Subregions int64
@@ -44,14 +43,11 @@ const statsRCRetries = 3
 
 // Stats returns a consistent snapshot of the region's counters: the
 // state flags can never be paired with a reference count from the other
-// side of a delete, because all state transitions hold mu. Stats is a
-// flush point for the allocation fast path (region_alloccache.go): the
-// batched per-shard deltas drain into objs under mu first, so the
-// Objects field is exact whenever the region is quiescent.
+// side of a delete, because all state transitions hold mu. A reclaimed
+// region's Objects field is 0.
 func (r *Region) Stats() RegionStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.flushAllocPendingLocked()
 	for attempt := 0; ; attempt++ {
 		rc := r.rc.Load()
 		st := RegionStats{
@@ -66,6 +62,7 @@ func (r *Region) Stats() RegionStats {
 			st.Deferred, st.Deleted = true, true
 		case stateDead:
 			st.Deleted, st.Reclaimed = true, true
+			st.Objects = 0
 		case stateOwned:
 			st.Owned = true
 		}
@@ -81,23 +78,16 @@ func (r *Region) RC() int64 { return r.rc.Load() }
 // Pins returns the number of live pins on the region.
 func (r *Region) Pins() int64 { return r.pins.Load() }
 
-// Objects returns the number of live objects in the region: the flushed
-// counter plus the allocation deltas still parked in the region's shard
-// cache. Lock-free; concurrent allocations make it a momentary
+// Objects returns the number of live objects in the region, 0 once it
+// is reclaimed. Lock-free; concurrent allocations make it a momentary
 // approximation, quiescence makes it exact (like every other counter).
+// An owned region's unflushed owner-local allocations are not included;
+// they land at Release.
 func (r *Region) Objects() int64 {
-	n := r.objs.Load()
-	// A deleted region's shards hold at most failed-admission residue
-	// (which nets to zero against already-drained halves), never objects,
-	// so only an alive (or owned — same argument, late shared admissions
-	// only) region adds its pending deltas. An owned region's unflushed
-	// owner-local allocations are not included; they land at Release.
-	if c := r.acache.Load(); c != nil {
-		if s := r.settled(); s == stateAlive || s == stateOwned {
-			n += c.sum()
-		}
+	if r.settled() == stateDead {
+		return 0
 	}
-	return n
+	return r.objs.Load()
 }
 
 // Deleted reports whether the region has been deleted (explicitly, or
@@ -113,8 +103,9 @@ func (r *Region) Deleted() bool {
 func (r *Region) Deferred() bool { return r.settled() == stateZombie }
 
 // ArenaStats is a snapshot of arena-wide counters, aggregated across
-// the fabric shards (region_fabric.go). Each field is the sum of the
-// per-shard slices, each of which is maintained at the same program
+// the fabric shards (region_fabric.go). LiveObjects sums the registered
+// regions' object counters (Arena.LiveObjects); every population field
+// is the sum of the per-shard slices, each of which is maintained at the same program
 // points the pre-fabric arena-wide counter was — so the aggregate keeps
 // the exact-at-quiesce contract, while a concurrent snapshot reads the
 // shards at slightly different instants (like every other live read).
@@ -150,16 +141,11 @@ type ArenaStats struct {
 	SlabBytes int64 `json:"slab_bytes,omitempty"`
 }
 
-// Stats returns a snapshot of the arena-wide counters. It first drains
-// every region's batched allocation deltas (region_alloccache.go) so
-// LiveObjects is exact on a quiesced arena; the sweep locks regions one
-// at a time, like the debug inspector's walks.
+// Stats returns a snapshot of the arena-wide counters.
 func (a *Arena) Stats() ArenaStats {
-	a.flushAllocPending()
-	st := ArenaStats{Shards: len(a.shards)}
+	st := ArenaStats{LiveObjects: a.LiveObjects(), Shards: len(a.shards)}
 	for i := range a.shards {
 		sh := &a.shards[i]
-		st.LiveObjects += sh.liveObjs.Load()
 		st.RegionsCreated += sh.nextSeq.Load()
 		st.LiveRegions += sh.liveRegions.Load()
 		st.DeferredRegions += sh.deferredRegions.Load()
@@ -215,14 +201,24 @@ func (a *Arena) AcquireWaiters() int64 {
 	return n
 }
 
-// LiveObjects returns the number of live objects across the arena,
-// draining the batched allocation deltas first (exact at quiesce, like
-// Stats).
+// LiveObjects returns the number of live objects across the arena: the
+// object counters of the registered regions, summed under one registry
+// lock at a time. The registry holds exactly the live and zombie
+// regions, and a region that died but is not yet unregistered counts 0,
+// so the sum is exact at quiesce, like every other counter.
 func (a *Arena) LiveObjects() int64 {
-	a.flushAllocPending()
 	var n int64
 	for i := range a.shards {
-		n += a.shards[i].liveObjs.Load()
+		for j := range a.shards[i].registry {
+			sh := &a.shards[i].registry[j]
+			sh.mu.Lock()
+			for _, r := range sh.m {
+				if r.state.Load() != stateDead {
+					n += r.objs.Load()
+				}
+			}
+			sh.mu.Unlock()
+		}
 	}
 	return n
 }
