@@ -81,8 +81,10 @@ advise-smoke:
 # 100-iteration spin of the parallel Alloc benchmarks (per-P regions,
 # and every P into one region: BenchmarkParallelAllocOneRegion, which
 # the BenchmarkParallelAlloc pattern matches), of the one-request
-# region lifecycle (BenchmarkRegionRequest) and of counted stores into
-# one shared holder region (BenchmarkParallelSetRefOneHolder). One
+# region lifecycle, disarmed and with metrics and a tracer armed
+# (BenchmarkRegionRequest and BenchmarkRegionRequestInstrumented, which
+# the same pattern matches) and of counted stores into one shared
+# holder region (BenchmarkParallelSetRefOneHolder). One
 # round proves the machinery, not a speedup: BENCH_pr13_ab.json records the real
 # 10-round run. The chaos phases run in chaos-smoke (its own CI job)
 # and, under -race, in the race target's TestChaos.

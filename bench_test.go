@@ -382,6 +382,22 @@ func BenchmarkRegionRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkRegionRequestInstrumented is BenchmarkRegionRequest on an
+// arena with metrics and a ring tracer armed: the per-request price of
+// every counter and of the created, deleted and reclaimed events each
+// request notes (Region.note). The disarmed price is
+// BenchmarkRegionRequest itself.
+func BenchmarkRegionRequestInstrumented(b *testing.B) {
+	serve := requestServer(NewArena(WithMetrics(), WithTracer(NewRingTracer(1<<12))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := serve(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestRegionRequestAllocs holds BenchmarkRegionRequest's body to one
 // heap allocation per request: the Region. The object chunks come back
 // from the park and the pools, the registry's slots fit inline, and

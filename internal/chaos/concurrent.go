@@ -242,7 +242,8 @@ func runConc(p *phase, cfg Config) (ConcResult, error) {
 // judgeQuiesce is the quiesce judge every phase runs: a clean audit, no
 // silently healed drain, the workers' allocation tally equal to the
 // arena's, every minted owner token retired, every slab page returned,
-// nothing but the traditional region alive, and — when the arena has
+// every region but the traditional one reclaimed exactly once, nothing
+// but the traditional region alive, and — when the arena has
 // the advisor — the advisor table equal to the workers' store tally.
 func judgeQuiesce(e *env, rules map[string]failpoint.Rule) error {
 	a, res, c := e.a, e.res, e.res.Counters
@@ -267,6 +268,12 @@ func judgeQuiesce(e *env, rules map[string]failpoint.Rule) error {
 	}
 	if c.SlabRefills != c.SlabReleases {
 		return fmt.Errorf("slab page drift: %d refills vs %d releases", c.SlabRefills, c.SlabReleases)
+	}
+	// Every region but the traditional one died exactly once, on the
+	// spot or as a zombie, and was reclaimed exactly once.
+	if created := a.Stats().RegionsCreated - 1; c.Reclaims != c.Deletes+c.DeferredDeletes || c.Reclaims != created {
+		return fmt.Errorf("reclaim drift: %d reclaims vs %d deletes + %d deferred deletes, %d regions created besides the traditional one",
+			c.Reclaims, c.Deletes, c.DeferredDeletes, created)
 	}
 	for _, g := range []struct {
 		name      string

@@ -28,7 +28,8 @@
 // then holds every phase to the same identities: a clean Audit; the
 // arena's Allocs equal to the workers' own count of successful
 // allocations; Acquires == Releases + OwnerRevocations; SlabRefills ==
-// SlabReleases; nothing alive but the traditional region, no zombie,
+// SlabReleases; Reclaims == Deletes + DeferredDeletes == the regions
+// created besides the traditional one; nothing alive but the traditional region, no zombie,
 // owner or parked waiter left; the advisor table equal to the
 // workers' store counts whenever the arena has the advisor; and no
 // drained zombie left for the quiesce sweep unless the phase's rules

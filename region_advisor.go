@@ -212,7 +212,7 @@ func (ad *arenaAdvisor) observe(hr, tr *Region, used StoreFlavour) {
 		e.external.Add(1)
 	}
 	if cheapest < used && !e.traced.Load() && e.traced.CompareAndSwap(false, true) {
-		hr.arena.traceEvent(TraceStoreUpgradeable, hr)
+		hr.note(TraceStoreUpgradeable, 1)
 	}
 }
 

@@ -81,13 +81,12 @@ type Arena struct {
 	shards    []arenaShard
 	shardMask uint64
 
-	// instr holds the cumulative op counters (region_metrics.go) and the
-	// annotation advisor (region_advisor.go), gated per region by
-	// Region.instr; tracer delivers lifecycle events (region_trace.go).
-	// NewArena sets all three for the arena's life; each is nil when off
-	// and costs the fast paths one load + branch.
-	instr  instruments
-	tracer Tracer
+	// instr holds the cumulative op counters (region_metrics.go), the
+	// annotation advisor (region_advisor.go) and the lifecycle tracer
+	// (region_trace.go), gated per region by Region.instr. NewArena sets
+	// all three for the arena's life; each is nil when off, and together
+	// they cost the fast paths one load + branch.
+	instr instruments
 
 	// recordAcquireSites is set, never cleared, by NewOwnerWatchdog:
 	// from then on every acquire records its call site for stale-owner
@@ -117,9 +116,10 @@ type Region struct {
 	parent *Region // immutable after creation
 	id     int64
 	// instr is the one instrument gate: it points at arena.instr when
-	// the arena was built with metrics or the advisor, so the fast paths
-	// gate both on a load from this (already hot, read-only) cache line
-	// instead of a dependent load through the arena. nil = none armed.
+	// the arena was built with metrics, the advisor or a tracer, so the
+	// fast paths and the lifecycle note gate all three on a load from
+	// this (already hot, read-only) cache line instead of a dependent
+	// load through the arena. nil = none armed.
 	// Written once in newRegion, before the region is published.
 	instr *instruments
 
@@ -236,7 +236,7 @@ func (a *Arena) newRegion(parent *Region) *Region {
 	r.id = sh.nextSeq.Add(1)<<shardIDBits | int64(idx)
 	sh.liveRegions.Add(1)
 	a.register(r)
-	a.traceEvent(TraceRegionCreated, r)
+	r.note(TraceRegionCreated, 1)
 	return r
 }
 
@@ -513,7 +513,7 @@ func (r *Region) Delete() error {
 	}
 	if n := r.children.Load(); n > 0 {
 		r.mu.Unlock()
-		r.noteDeleteBlocked()
+		r.note(TraceDeleteBlocked, 1)
 		return fmt.Errorf("%w (subregions=%d)", ErrRegionInUse, n)
 	}
 	// Close the gate: once dying is visible, incRC withdraws and waits,
@@ -530,28 +530,15 @@ func (r *Region) Delete() error {
 	if n := r.rc.Load(); n != 0 {
 		r.state.Store(stateAlive)
 		r.mu.Unlock()
-		r.noteDeleteBlocked()
+		r.note(TraceDeleteBlocked, 1)
 		return fmt.Errorf("%w (rc=%d)", ErrRegionInUse, n)
 	}
 	r.state.Store(stateDead)
 	r.shard.liveRegions.Add(-1)
 	r.mu.Unlock()
-	if c := r.counters(); c != nil {
-		c.deletes.Add(1)
-	}
-	r.arena.traceEvent(TraceRegionDeleted, r)
+	r.note(TraceRegionDeleted, 1)
 	r.reclaim(nil)
 	return nil
-}
-
-// noteDeleteBlocked records an explicit Delete that failed with
-// ErrRegionInUse; the debug inspector's blocked-deleters report names
-// the slots responsible.
-func (r *Region) noteDeleteBlocked() {
-	if c := r.counters(); c != nil {
-		c.deletesBlocked.Add(1)
-	}
-	r.arena.traceEvent(TraceDeleteBlocked, r)
 }
 
 // DeleteDeferred marks the region for implicit deletion when it becomes
@@ -583,10 +570,7 @@ func (r *Region) DeleteDeferred() {
 		r.state.Store(stateDead)
 		r.shard.liveRegions.Add(-1)
 		r.mu.Unlock()
-		if c := r.counters(); c != nil {
-			c.deferredDeletes.Add(1)
-		}
-		r.arena.traceEvent(TraceRegionDeleted, r)
+		r.note(TraceRegionDeleted, 1)
 		r.reclaim(nil)
 		return
 	}
@@ -595,10 +579,7 @@ func (r *Region) DeleteDeferred() {
 	r.shard.liveRegions.Add(-1)
 	r.shard.deferredRegions.Add(1)
 	r.mu.Unlock()
-	if c := r.counters(); c != nil {
-		c.deferredDeletes.Add(1)
-	}
-	r.arena.traceEvent(TraceRegionDeferred, r)
+	r.note(TraceRegionDeferred, 1)
 	// A decRC or child delete that took the last count to zero after the
 	// read above found the region dying, not zombie, and did not drain
 	// it; re-offer the drain now that stateZombie is published.
@@ -657,10 +638,7 @@ func (r *Region) reclaim(parked []releaser) {
 	// alive.
 	clear(g.inline[:])
 	r.arena.unregister(r.id)
-	if c := r.counters(); c != nil {
-		c.reclaims.Add(1)
-	}
-	r.arena.traceEvent(TraceRegionReclaimed, r)
+	r.note(TraceRegionReclaimed, 1)
 	if p := r.parent; p != nil {
 		p.children.Add(-1)
 		p.maybeDrain()

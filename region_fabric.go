@@ -187,9 +187,9 @@ func NewArena(opts ...Option) *Arena {
 	a := &Arena{
 		shards:    make([]arenaShard, n),
 		shardMask: uint64(n - 1),
-		tracer:    cfg.tracer,
 		backing:   cfg.backing,
 	}
+	a.instr.tracer = cfg.tracer
 	if cfg.metrics {
 		a.instr.metrics = &arenaMetrics{}
 	}

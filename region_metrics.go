@@ -17,13 +17,19 @@ import (
 //     region on lifecycle paths), so concurrent goroutines working on
 //     different slots rarely share a counter cache line and the shards
 //     scale like the slot registry does.
+//   - Lifecycle counters are one array per shard indexed by TraceKind
+//     (counterShard.events), filled only by Region.note
+//     (region_trace.go): a lifecycle counter is the count of its event
+//     kind. AcquireTimeouts/AcquireCancels split one kind by cause and
+//     keep fields of their own, as does the AcquireWaitNanos sum.
 //   - Counting is gated by a single pointer, cached on every Region
 //     (first cache line, next to the identity fields the store paths
-//     read anyway) and owned by the arena. The annotated-store
-//     fast paths (SetSame/SetTrad/SetParent) are the paper's whole cost
-//     argument — check-only, no shared-memory writes — and on modern
-//     x86 even an uncontended LOCK-prefixed add costs a store-buffer
-//     drain comparable to the entire store; an extra dependent load
+//     read anyway) and owned by the arena; the advisor and the tracer
+//     share it. The annotated-store fast paths (SetSame/SetTrad/
+//     SetParent) are the paper's whole cost argument — check-only, no
+//     shared-memory writes — and on modern x86 even an uncontended
+//     LOCK-prefixed add costs a store-buffer drain comparable to the
+//     entire store; an extra dependent load
 //     through the arena is measurable too, which is why the gate lives
 //     on the region. Disabled (the default), instrumentation is one
 //     already-hot pointer load and a never-taken branch, measured
@@ -43,9 +49,8 @@ import (
 // cache-line multiples so two shards never share a line.
 const metricShards = 64
 
-// counterShard is one shard of every counter. 24 counters * 8 bytes =
-// 192 bytes — already a cache-line multiple, so shards start on
-// separate cache lines with no explicit padding.
+// counterShard is one shard of every counter: 26 counters * 8 bytes =
+// 208 bytes, padded to 256 so shards start on separate cache lines.
 type counterShard struct {
 	allocs atomic.Int64
 	// stores is indexed by StoreFlavour: completed SetRef stores, and
@@ -54,25 +59,20 @@ type counterShard struct {
 	rcIncrements     atomic.Int64
 	rcDecrements     atomic.Int64
 	checkFailures    atomic.Int64
-	deletes          atomic.Int64
-	deletesBlocked   atomic.Int64
-	deferredDeletes  atomic.Int64
-	reclaims         atomic.Int64
 	pinOps           atomic.Int64
-	acquires         atomic.Int64
-	releases         atomic.Int64
 	ownerFlushes     atomic.Int64
-	acquireWaits     atomic.Int64
 	acquireTimeouts  atomic.Int64
 	acquireCancels   atomic.Int64
-	ownerRevocations atomic.Int64
 	acquireWaitNanos atomic.Int64
-	slabRefills      atomic.Int64
-	slabReleases     atomic.Int64
+	// events is indexed by TraceKind: Region.note (region_trace.go)
+	// counts every lifecycle transition here, so each lifecycle counter
+	// of ArenaCounters is the count of its event kind.
+	events [traceKinds]atomic.Int64
+	_      [48]byte
 }
 
 // arenaMetrics is the sharded counter block, allocated by NewArena when
-// metrics are on (64 shards * 192 B = 12 KiB per arena).
+// metrics are on (64 shards * 256 B = 16 KiB per arena).
 type arenaMetrics struct {
 	shards [metricShards]counterShard
 }
@@ -84,12 +84,14 @@ func (m *arenaMetrics) shard(p unsafe.Pointer) *counterShard {
 	return &m.shards[h%metricShards]
 }
 
-// instruments holds the op counters and the annotation advisor
-// (region_advisor.go), each nil when off. NewArena sets both for the
-// arena's life; every region gates both on one pointer, Region.instr.
+// instruments holds the op counters, the annotation advisor
+// (region_advisor.go) and the lifecycle tracer (region_trace.go), each
+// nil when off. NewArena sets all three for the arena's life; every
+// region gates them on one pointer, Region.instr.
 type instruments struct {
 	metrics *arenaMetrics
 	advisor *arenaAdvisor
+	tracer  Tracer
 }
 
 // counters returns the metric shard for pointer p, or nil while metrics
@@ -104,8 +106,8 @@ func (in *instruments) counters(p unsafe.Pointer) *counterShard {
 // MetricsEnabled reports whether the arena was built WithMetrics.
 func (a *Arena) MetricsEnabled() bool { return a.instr.metrics != nil }
 
-// counters returns the counter shard for a lifecycle operation on r, or
-// nil when metrics are disabled.
+// counters returns the counter shard for an operation on r, or nil
+// when metrics are disabled.
 func (r *Region) counters() *counterShard {
 	return r.instr.counters(unsafe.Pointer(r))
 }
@@ -132,16 +134,20 @@ type ArenaCounters struct {
 	ParentChecks int64 `json:"parent_checks"`
 	// CheckFailures counts annotated stores rejected with ErrBadRef.
 	CheckFailures int64 `json:"check_failures"`
-	// Deletes counts successful explicit Deletes.
+	// Deletes counts regions deleted on the spot: successful Deletes and
+	// Owner.Deletes, and DeleteDeferred calls that found the region
+	// already unreferenced (each is one deleted event).
 	Deletes int64 `json:"deletes"`
 	// DeletesBlocked counts explicit Deletes that failed with
 	// ErrRegionInUse (live references or subregions).
 	DeletesBlocked int64 `json:"deletes_blocked"`
-	// DeferredDeletes counts DeleteDeferred calls that marked a live
-	// region (whether it reclaimed immediately or became a zombie).
+	// DeferredDeletes counts DeleteDeferred calls that left a still
+	// referenced region a zombie, to reclaim when its references drain
+	// (each is one deferred event).
 	DeferredDeletes int64 `json:"deferred_deletes"`
 	// Reclaims counts regions whose storage was released; every dead
-	// region is reclaimed exactly once.
+	// region is reclaimed exactly once, so at quiesce
+	// Reclaims == Deletes + DeferredDeletes.
 	Reclaims int64 `json:"reclaims"`
 	// PinOps counts successful Pin/TryPin calls.
 	PinOps int64 `json:"pin_ops"`
@@ -198,21 +204,22 @@ func (a *Arena) Counters() ArenaCounters {
 		c.TradChecks += s.stores[FlavourTrad].Load()
 		c.ParentChecks += s.stores[FlavourParent].Load()
 		c.CheckFailures += s.checkFailures.Load()
-		c.Deletes += s.deletes.Load()
-		c.DeletesBlocked += s.deletesBlocked.Load()
-		c.DeferredDeletes += s.deferredDeletes.Load()
-		c.Reclaims += s.reclaims.Load()
 		c.PinOps += s.pinOps.Load()
-		c.Acquires += s.acquires.Load()
-		c.Releases += s.releases.Load()
 		c.OwnerFlushes += s.ownerFlushes.Load()
-		c.AcquireWaits += s.acquireWaits.Load()
 		c.AcquireTimeouts += s.acquireTimeouts.Load()
 		c.AcquireCancels += s.acquireCancels.Load()
 		c.AcquireWaitNanos += s.acquireWaitNanos.Load()
-		c.OwnerRevocations += s.ownerRevocations.Load()
-		c.SlabRefills += s.slabRefills.Load()
-		c.SlabReleases += s.slabReleases.Load()
+		ev := &s.events
+		c.Deletes += ev[TraceRegionDeleted].Load()
+		c.DeletesBlocked += ev[TraceDeleteBlocked].Load()
+		c.DeferredDeletes += ev[TraceRegionDeferred].Load()
+		c.Reclaims += ev[TraceRegionReclaimed].Load()
+		c.Acquires += ev[TraceRegionAcquired].Load()
+		c.Releases += ev[TraceRegionReleased].Load()
+		c.AcquireWaits += ev[TraceAcquireBlocked].Load()
+		c.OwnerRevocations += ev[TraceOwnerRevoked].Load()
+		c.SlabRefills += ev[TraceSlabMapped].Load()
+		c.SlabReleases += ev[TraceSlabReleased].Load()
 	}
 	return c
 }

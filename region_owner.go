@@ -290,16 +290,13 @@ func (r *Region) acquireLocked() (*Owner, error) {
 }
 
 // finishAcquire is the out-of-mu tail of an uncontended acquire: the
-// slot-registry barrier (hazard 1 in the file comment), the counter,
-// and the trace event. A handed-off acquire does not come through here
-// — it inherits the old owner's barrier (hazard 4) and counts/traces at
-// the receive site.
+// slot-registry barrier (hazard 1 in the file comment) and the acquired
+// event. A handed-off acquire does not come through here — it inherits
+// the old owner's barrier (hazard 4) and notes its event at the receive
+// site.
 func (r *Region) finishAcquire() {
 	r.storeBarrier()
-	if c := r.counters(); c != nil {
-		c.acquires.Add(1)
-	}
-	r.arena.traceEvent(TraceRegionAcquired, r)
+	r.note(TraceRegionAcquired, 1)
 }
 
 // AcquireContext takes exclusive ownership of the region, waiting for
@@ -344,10 +341,7 @@ func (r *Region) AcquireContext(ctx context.Context) (*Owner, error) {
 	r.shard.acquireWaiters.Add(1)
 	r.mu.Unlock()
 	r.contendedWaits.Add(1)
-	if c := r.counters(); c != nil {
-		c.acquireWaits.Add(1)
-	}
-	r.arena.traceEvent(TraceAcquireBlocked, r)
+	r.note(TraceAcquireBlocked, 1)
 	start := time.Now()
 
 	select {
@@ -382,10 +376,7 @@ func (r *Region) acquireDelivered(ctx context.Context, h handoff, start time.Tim
 	if h.err != nil {
 		return nil, h.err
 	}
-	if c := r.counters(); c != nil {
-		c.acquires.Add(1)
-	}
-	r.arena.traceEvent(TraceRegionAcquired, r)
+	r.note(TraceRegionAcquired, 1)
 	if err := ctx.Err(); err != nil {
 		r.noteAcquireAborted(err)
 		r.disposeToken(h.o)
@@ -434,7 +425,7 @@ func (r *Region) noteAcquireAborted(cause error) {
 			c.acquireCancels.Add(1)
 		}
 	}
-	r.arena.traceEvent(TraceAcquireAborted, r)
+	r.note(TraceAcquireAborted, 1)
 }
 
 // removeWaiterLocked unlinks w from the wait queue, reporting whether
@@ -574,10 +565,7 @@ func (o *Owner) Release() error {
 	w, next := r.handOffLocked()
 	r.mu.Unlock()
 	o.r = nil
-	if c := r.counters(); c != nil {
-		c.releases.Add(1)
-	}
-	r.arena.traceEvent(TraceRegionReleased, r)
+	r.note(TraceRegionReleased, 1)
 	if w != nil {
 		// The hazard-4 publication edge: flush (under mu) and the trace
 		// above are sequenced before this send; the waiter's receive in
@@ -617,7 +605,7 @@ func (o *Owner) Delete() error {
 	o.flushLocked(r)
 	if n := r.children.Load(); n > 0 {
 		r.mu.Unlock()
-		r.noteDeleteBlocked()
+		r.note(TraceDeleteBlocked, 1)
 		return fmt.Errorf("%w (subregions=%d)", ErrRegionInUse, n)
 	}
 	if n := r.rc.Load(); n != 0 {
@@ -626,7 +614,7 @@ func (o *Owner) Delete() error {
 		// stateOwned and withdraw. Either way the delete fails and
 		// ownership is retained.
 		r.mu.Unlock()
-		r.noteDeleteBlocked()
+		r.note(TraceDeleteBlocked, 1)
 		return fmt.Errorf("%w (rc=%d)", ErrRegionInUse, n)
 	}
 	// No dying window: stateOwned already rejects every operation that
@@ -644,12 +632,8 @@ func (o *Owner) Delete() error {
 	r.shard.ownedRegions.Add(-1)
 	r.mu.Unlock()
 	o.r = nil
-	if c := r.counters(); c != nil {
-		c.releases.Add(1)
-		c.deletes.Add(1)
-	}
-	r.arena.traceEvent(TraceRegionReleased, r)
-	r.arena.traceEvent(TraceRegionDeleted, r)
+	r.note(TraceRegionReleased, 1)
+	r.note(TraceRegionDeleted, 1)
 	for _, w := range waiters {
 		w.ready <- handoff{err: fmt.Errorf("%w: region %d deleted while waiting to acquire",
 			ErrRegionDeleted, r.id)}
@@ -685,10 +669,7 @@ func (r *Region) revokeOwner(expect *Owner) bool {
 	expect.revoked.Store(true)
 	w, next := r.handOffLocked()
 	r.mu.Unlock()
-	if c := r.counters(); c != nil {
-		c.ownerRevocations.Add(1)
-	}
-	r.arena.traceEvent(TraceOwnerRevoked, r)
+	r.note(TraceOwnerRevoked, 1)
 	if w != nil {
 		w.ready <- handoff{o: next}
 	}

@@ -293,10 +293,7 @@ func (r *Region) releaseSlabPages() {
 		pg.chunk.quiesce()
 		bs.Free(pg.p, pg.size)
 	}
-	if c := r.counters(); c != nil {
-		c.slabReleases.Add(int64(len(pages)))
-	}
-	r.arena.traceEvent(TraceSlabReleased, r)
+	r.note(TraceSlabReleased, int64(len(pages)))
 }
 
 // ---------------------------------------------------------------------------
@@ -354,10 +351,7 @@ func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T
 		r.arena.backing.Free(p, chunkTargetBytes)
 		return newHeapChunkedObj[T](r, slot)
 	}
-	if c := r.counters(); c != nil {
-		c.slabRefills.Add(1)
-	}
-	r.arena.traceEvent(TraceSlabMapped, r)
+	r.note(TraceSlabMapped, 1)
 	if o := ch.claim(r); o != nil {
 		// Offer the remainder to the parking slot; if a racer parked
 		// first the chunk simply stays reachable through the page list

@@ -4,25 +4,26 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Region lifecycle event tracing for the concurrent Go-native runtime.
+// Region lifecycle events for the concurrent Go-native runtime.
 //
-// A Tracer observes the region lifecycle — the paper's dynamic behaviour
-// that Table 2 measures offline — as it happens: every region creation,
-// explicit delete, deferred delete, reclaim, and blocked delete is
-// reported with the region's identity, its parent, and the reference
-// count at the instant of the event. The per-store counters live in
-// region_metrics.go; tracing covers lifecycle transitions, which
-// already serialize on the region's lifecycle mutex, so a tracer adds no
-// cost to the store fast paths and only a nil-check when disabled. The
-// tracer is installed at NewArena (WithTracer) and fixed for the arena's
-// life. The
-// one store-path kind, TraceStoreUpgradeable, fires at most once per
+// Every lifecycle transition — the paper's dynamic behaviour that
+// Table 2 measures offline — goes through one point, Region.note. It
+// counts the transition in the metric shards' per-kind event array
+// (region_metrics.go), so each lifecycle counter of ArenaCounters is
+// the count of its event kind, and hands a Tracer the region's
+// identity, its parent, and the reference count at the instant of the
+// event. Both instruments sit behind the one gate every region caches,
+// Region.instr: disarmed, a transition pays the call, one load and one
+// branch; the store fast paths never note. The tracer is installed at
+// NewArena (WithTracer) and fixed for the arena's life. The one
+// store-path kind, TraceStoreUpgradeable, fires at most once per
 // advisor call-site entry and only while the annotation advisor
 // (region_advisor.go) is armed.
 //
-// Events are emitted after the region's lifecycle mutex is released, so
+// Events are noted after the region's lifecycle mutex is released, so
 // a Tracer implementation may safely call back into the runtime (Stats,
 // Hierarchy, ...). The price is ordering: two goroutines' events for
 // one region can reach the tracer in the opposite order of their
@@ -37,9 +38,10 @@ type TraceKind int32
 const (
 	// TraceRegionCreated: a region was created (NewRegion/NewSubregion).
 	TraceRegionCreated TraceKind = iota
-	// TraceRegionDeleted: an explicit Delete succeeded, or a
-	// DeleteDeferred found the region already unreferenced and deleted
-	// it on the spot. A TraceRegionReclaimed event always follows.
+	// TraceRegionDeleted: an explicit Delete (or Owner.Delete)
+	// succeeded, or a DeleteDeferred found the region already
+	// unreferenced and deleted it on the spot. A TraceRegionReclaimed
+	// event always follows.
 	TraceRegionDeleted
 	// TraceRegionDeferred: DeleteDeferred marked a still-referenced
 	// region as a zombie; it reclaims when its references drain.
@@ -85,40 +87,26 @@ const (
 	// (region_slab.go). One event per page, not per object.
 	TraceSlabMapped
 	// TraceSlabReleased: reclaim returned the region's slab pages to
-	// the backing store. One event per region (its SlabReleases counter
-	// carries the page count), emitted before the reclaimed event.
+	// the backing store. One event per region, emitted before the
+	// reclaimed event; its count (SlabReleases) grows by the page count.
 	TraceSlabReleased
 )
 
+// traceKinds is the number of event kinds: the length of the name table
+// and of each metric shard's per-kind event counters.
+const traceKinds = TraceSlabReleased + 1
+
+// traceKindNames names each kind, in TraceKind order.
+var traceKindNames = [traceKinds]string{
+	"created", "deleted", "deferred", "reclaimed", "delete-blocked",
+	"store-upgradeable", "acquired", "released", "acquire-blocked",
+	"acquire-aborted", "owner-revoked", "slab-mapped", "slab-released",
+}
+
 // String names the event kind.
 func (k TraceKind) String() string {
-	switch k {
-	case TraceRegionCreated:
-		return "created"
-	case TraceRegionDeleted:
-		return "deleted"
-	case TraceRegionDeferred:
-		return "deferred"
-	case TraceRegionReclaimed:
-		return "reclaimed"
-	case TraceDeleteBlocked:
-		return "delete-blocked"
-	case TraceStoreUpgradeable:
-		return "store-upgradeable"
-	case TraceRegionAcquired:
-		return "acquired"
-	case TraceRegionReleased:
-		return "released"
-	case TraceAcquireBlocked:
-		return "acquire-blocked"
-	case TraceAcquireAborted:
-		return "acquire-aborted"
-	case TraceOwnerRevoked:
-		return "owner-revoked"
-	case TraceSlabMapped:
-		return "slab-mapped"
-	case TraceSlabReleased:
-		return "slab-released"
+	if k >= 0 && k < traceKinds {
+		return traceKindNames[k]
 	}
 	return fmt.Sprintf("TraceKind(%d)", int32(k))
 }
@@ -130,37 +118,13 @@ func (k TraceKind) MarshalText() ([]byte, error) { return []byte(k.String()), ni
 // round-trip through JSON (the /trace endpoint's clients decode into
 // the same types).
 func (k *TraceKind) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "created":
-		*k = TraceRegionCreated
-	case "deleted":
-		*k = TraceRegionDeleted
-	case "deferred":
-		*k = TraceRegionDeferred
-	case "reclaimed":
-		*k = TraceRegionReclaimed
-	case "delete-blocked":
-		*k = TraceDeleteBlocked
-	case "store-upgradeable":
-		*k = TraceStoreUpgradeable
-	case "acquired":
-		*k = TraceRegionAcquired
-	case "released":
-		*k = TraceRegionReleased
-	case "acquire-blocked":
-		*k = TraceAcquireBlocked
-	case "acquire-aborted":
-		*k = TraceAcquireAborted
-	case "owner-revoked":
-		*k = TraceOwnerRevoked
-	case "slab-mapped":
-		*k = TraceSlabMapped
-	case "slab-released":
-		*k = TraceSlabReleased
-	default:
-		return fmt.Errorf("unknown trace kind %q", b)
+	for i, name := range traceKindNames {
+		if name == string(b) {
+			*k = TraceKind(i)
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("unknown trace kind %q", b)
 }
 
 // TraceEvent is one region lifecycle event.
@@ -188,18 +152,28 @@ type Tracer interface {
 	Trace(ev TraceEvent)
 }
 
-// traceEvent delivers a lifecycle event for r to the arena's tracer, if
-// one is set. Callers must not hold r.mu: tracers may call back into the
-// runtime.
-func (a *Arena) traceEvent(kind TraceKind, r *Region) {
-	if a.tracer == nil {
+// note records one lifecycle transition of r on the one instrument
+// gate: n more events of kind in the metric shards when metrics are on
+// (n is 1 but for a slab release, which counts its pages), and one
+// TraceEvent to the tracer when one is set. Disarmed, it costs the load
+// of r.instr and a branch. Callers must not hold r.mu: tracers may call
+// back into the runtime.
+func (r *Region) note(kind TraceKind, n int64) {
+	in := r.instr
+	if in == nil {
+		return
+	}
+	if in.metrics != nil {
+		in.metrics.shard(unsafe.Pointer(r)).events[kind].Add(n)
+	}
+	if in.tracer == nil {
 		return
 	}
 	var parent int64
 	if r.parent != nil {
 		parent = r.parent.id
 	}
-	a.tracer.Trace(TraceEvent{
+	in.tracer.Trace(TraceEvent{
 		Kind:       kind,
 		Region:     r.id,
 		Parent:     parent,
@@ -290,7 +264,7 @@ func (t *RingTracer) TraceStats() TraceStats {
 // traceStats returns the installed tracer's ring statistics, if it
 // exposes any.
 func (a *Arena) traceStats() (TraceStats, bool) {
-	if ts, ok := a.tracer.(interface{ TraceStats() TraceStats }); ok {
+	if ts, ok := a.instr.tracer.(interface{ TraceStats() TraceStats }); ok {
 		return ts.TraceStats(), true
 	}
 	return TraceStats{}, false
@@ -300,7 +274,7 @@ func (a *Arena) traceStats() (TraceStats, bool) {
 // RingTracer's, or anything else with an Events method — for the debug
 // inspector's /trace endpoint.
 func (a *Arena) traceEvents() ([]TraceEvent, bool) {
-	if ev, ok := a.tracer.(interface{ Events() []TraceEvent }); ok {
+	if ev, ok := a.instr.tracer.(interface{ Events() []TraceEvent }); ok {
 		return ev.Events(), true
 	}
 	return nil, false

@@ -1,9 +1,12 @@
 package rcgo
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // Exact-accounting tests for the cumulative counters and the tracer,
@@ -187,6 +190,177 @@ func TestLifecycleCountersAndTracerExact(t *testing.T) {
 		if got[kind] != want {
 			t.Errorf("%v events = %d, want %d", kind, got[kind], want)
 		}
+	}
+}
+
+// Each lifecycle counter is the count of its event kind: one pass
+// through every lifecycle transition — an owner round with a hand-off,
+// a cancelled and a timed-out wait, a blocked then successful
+// Owner.Delete, a revocation, a slab-backed region, a zombie and a
+// DeleteDeferred on an already drained region — and the ring's count of
+// each kind must equal its ArenaCounters field.
+func TestLifecycleCountersAreEventCounts(t *testing.T) {
+	ring := NewRingTracer(1 << 12)
+	a := NewArena(WithMetrics(), WithTracer(ring), WithOffHeapSlabs())
+	defer a.CloseBackingStore()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The owner round, on a region whose one object stays pinned until
+	// the second Owner.Delete.
+	r := a.NewRegion()
+	unpin := Pin(Alloc[traceNode](r))
+	o, err := r.TryAcquire()
+	must(err)
+	must(o.Release())
+	o, err = r.TryAcquire()
+	must(err)
+	got := make(chan *Owner, 1)
+	go func() {
+		next, err := r.AcquireContext(context.Background())
+		if err != nil {
+			t.Errorf("hand-off acquire: %v", err)
+		}
+		got <- next
+	}()
+	waitForWaiters(t, r, 1)
+	must(o.Release())
+	o = <-got
+	if o == nil {
+		t.FailNow()
+	}
+	cctx, cancel := context.WithCancel(context.Background())
+	aborted := make(chan error, 1)
+	go func() {
+		_, err := r.AcquireContext(cctx)
+		aborted <- err
+	}()
+	waitForWaiters(t, r, 1)
+	cancel()
+	if err := <-aborted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled acquire: %v", err)
+	}
+	tctx, tcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer tcancel()
+	if _, err := r.AcquireContext(tctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("timed-out acquire: %v", err)
+	}
+	if err := o.Delete(); !errors.Is(err, ErrRegionInUse) {
+		t.Fatalf("pinned Owner.Delete: %v", err)
+	}
+	unpin()
+	must(o.Delete())
+
+	// A revoked token.
+	v := a.NewRegion()
+	o, err = v.TryAcquire()
+	must(err)
+	if !v.revokeOwner(o) {
+		t.Fatal("revokeOwner found no owner")
+	}
+	must(v.Delete())
+
+	// A slab-backed region spanning two pages: one slab-released event,
+	// two pages released.
+	sr := a.NewRegion()
+	perChunk := chunkTargetBytes / int(unsafe.Sizeof(Obj[slabVal]{}))
+	for i := 0; i < perChunk+1; i++ {
+		Alloc[slabVal](sr)
+	}
+	must(sr.Delete())
+
+	// A zombie, and a DeleteDeferred that finds its region drained.
+	z := a.NewRegion()
+	unpin = Pin(Alloc[traceNode](z))
+	z.DeleteDeferred()
+	unpin()
+	d := a.NewRegion()
+	d.DeleteDeferred()
+
+	if ring.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events", ring.Dropped())
+	}
+	n := make(map[TraceKind]int64)
+	for _, ev := range ring.Events() {
+		n[ev.Kind]++
+	}
+	c := a.Counters()
+	for _, chk := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Deletes", c.Deletes, n[TraceRegionDeleted]},
+		{"DeletesBlocked", c.DeletesBlocked, n[TraceDeleteBlocked]},
+		{"DeferredDeletes", c.DeferredDeletes, n[TraceRegionDeferred]},
+		{"Reclaims", c.Reclaims, n[TraceRegionReclaimed]},
+		{"Acquires", c.Acquires, n[TraceRegionAcquired]},
+		{"Releases", c.Releases, n[TraceRegionReleased]},
+		{"AcquireWaits", c.AcquireWaits, n[TraceAcquireBlocked]},
+		{"AcquireTimeouts+AcquireCancels", c.AcquireTimeouts + c.AcquireCancels, n[TraceAcquireAborted]},
+		{"OwnerRevocations", c.OwnerRevocations, n[TraceOwnerRevoked]},
+		{"SlabRefills", c.SlabRefills, n[TraceSlabMapped]},
+		{"SlabReleases", c.SlabReleases, c.SlabRefills},
+		// The expected totals of the run above.
+		{"Deletes (Owner.Delete, revoked, slab, drained DeleteDeferred)", c.Deletes, 4},
+		{"DeferredDeletes (the zombie only)", c.DeferredDeletes, 1},
+		{"Reclaims", c.Reclaims, c.Deletes + c.DeferredDeletes},
+		{"Acquires", c.Acquires, 4},
+		{"AcquireWaits", c.AcquireWaits, 3},
+		{"AcquireTimeouts", c.AcquireTimeouts, 1},
+		{"AcquireCancels", c.AcquireCancels, 1},
+		{"SlabReleases", c.SlabReleases, 2},
+		{"slab-released events", n[TraceSlabReleased], 1},
+	} {
+		if chk.got != chk.want {
+			t.Errorf("%s = %d, want %d", chk.name, chk.got, chk.want)
+		}
+	}
+}
+
+// Every kind's name round-trips through MarshalText and UnmarshalText;
+// an unknown name is rejected, and a kind past the table prints its
+// number.
+func TestTraceKindText(t *testing.T) {
+	names := make(map[string]bool)
+	for k := TraceKind(0); k < traceKinds; k++ {
+		b, err := k.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names[string(b)] {
+			t.Errorf("kind %d reuses the name %q", k, b)
+		}
+		names[string(b)] = true
+		var back TraceKind
+		if err := back.UnmarshalText(b); err != nil || back != k {
+			t.Errorf("kind %d: %q round-trips to %d, %v", k, b, back, err)
+		}
+	}
+	for k, want := range map[TraceKind]string{
+		TraceRegionCreated: "created", TraceRegionDeleted: "deleted",
+		TraceAcquireAborted: "acquire-aborted", TraceSlabReleased: "slab-released",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", k, got, want)
+		}
+	}
+	var k TraceKind
+	if err := k.UnmarshalText([]byte("nonesuch")); err == nil {
+		t.Error("unknown kind name accepted")
+	}
+	if got := TraceKind(traceKinds).String(); got != "TraceKind(13)" {
+		t.Errorf("TraceKind(traceKinds).String() = %q", got)
+	}
+}
+
+// Metric shards start on separate cache lines.
+func TestCounterShardCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(counterShard{}); sz%64 != 0 {
+		t.Errorf("counterShard is %d B, not a cache-line multiple", sz)
 	}
 }
 
