@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-shuffle vet staticcheck race check benchlint-files bench-oracles advise-smoke ab-smoke docs-check chaos chaos-smoke bench experiments examples fuzz fuzz-delete clean
+.PHONY: all build test test-short test-shuffle test-repeat vet staticcheck race check benchlint-files bench-oracles advise-smoke ab-smoke docs-check chaos chaos-smoke bench experiments examples fuzz fuzz-delete clean
 
 all: check
 
@@ -36,6 +36,13 @@ test-short:
 test-shuffle:
 	$(GO) test -shuffle=on -short ./...
 
+# Repeat pass for the tests that touch the per-type chunk pools: the
+# pools are process-wide, so a second or third run of the same test
+# inherits the chunks the first left behind. A test that only passes
+# on a fresh pool fails here.
+test-repeat:
+	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Unscan|Registry' .
+
 # Race-detector pass: the concurrent Go-native runtime stress tests
 # (region_concurrent_test.go) are only meaningful under -race. -short
 # keeps the VM differential suites at a size where the ~10-20x race
@@ -44,11 +51,11 @@ race:
 	$(GO) test -race -short ./...
 
 # The default verification gate: build cleanliness, static analysis,
-# the full test suite, the race pass over the concurrent API, the
-# checked-in benchmark reports revalidated against the current schema,
-# the benchmark workloads' oracles, and the documentation anchored to
-# the tree it describes.
-check: vet staticcheck test test-shuffle race benchlint-files bench-oracles advise-smoke ab-smoke docs-check
+# the full test suite, the shuffled and the repeated pass, the race
+# pass over the concurrent API, the checked-in benchmark reports
+# revalidated against the current schema, the benchmark workloads'
+# oracles, and the documentation anchored to the tree it describes.
+check: vet staticcheck test test-shuffle test-repeat race benchlint-files bench-oracles advise-smoke ab-smoke docs-check
 
 # Every committed rcbench report must still satisfy the benchlint
 # invariants — catches schema drift against historical BENCH_*.json.

@@ -382,6 +382,55 @@ func BenchmarkRegionRequest(b *testing.B) {
 	}
 }
 
+// batchNode is one object of BenchmarkOwnedBatch: lcc's list node, two
+// sameregion links and a counted one into a shared symbol region.
+type batchNode struct {
+	val        int64
+	next, peer Ref[batchNode] // sameregion
+	sym        Ref[reqNode]   // counted, into the symbol region
+}
+
+// BenchmarkOwnedBatch builds one lcc-shaped batch per op on the owned
+// path: Acquire a fresh region, 98 AllocOwned with the list and peer
+// links stored by SetSameOwned, a counted SetRefOwned into a shared
+// symbol region from every fourth node (25 slots parked on the token),
+// then Owner.Delete, whose unscan releases them and whose reclaim
+// scrubs and pools the batch's chunk.
+func BenchmarkOwnedBatch(b *testing.B) {
+	a := NewArena()
+	symR := a.NewRegion()
+	var syms [64]*Obj[reqNode]
+	for i := range syms {
+		syms[i] = Alloc[reqNode](symR)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := a.NewRegion().Acquire()
+		var prev *Obj[batchNode]
+		for j := 0; j < 98; j++ {
+			x := AllocOwned[batchNode](o)
+			if prev != nil {
+				if err := SetSameOwned(o, prev, &prev.Value.next, x); err != nil {
+					b.Fatal(err)
+				}
+				if err := SetSameOwned(o, x, &x.Value.peer, prev); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if j%4 == 0 {
+				if err := SetRefOwned(o, x, &x.Value.sym, syms[j%len(syms)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			prev = x
+		}
+		if err := o.Delete(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRegionRequestInstrumented is BenchmarkRegionRequest on an
 // arena with metrics and a ring tracer armed: the per-request price of
 // every counter and of the created, deleted and reclaimed events each

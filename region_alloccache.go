@@ -2,6 +2,7 @@ package rcgo
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -32,6 +33,11 @@ import (
 //     second level, touched only on slot misses; reclaim returns a
 //     region's parked chunks to their pools so the chunk capacity
 //     outlives the region. Oversized types bypass chunking.
+//   - The dead-region scrub. A pooled chunk's claimed headers are dead
+//     objects, and the next region to park the chunk keeps them
+//     reachable. Before reclaim pools a parked chunk it cuts every link
+//     from the dead region's objects in it to other chunks, so a pooled
+//     chunk retains no earlier, exhausted chunk (DESIGN.md §11).
 //
 // The GC-heap chunk-refill edge, taken on every park miss, carries the
 // rcgo/alloc.refill failpoint: an injected error is a transient
@@ -49,6 +55,82 @@ const maxChunkObjBytes = 1 << 10
 // chunkTargetBytes sizes a chunk: smaller objects share larger chunks.
 const chunkTargetBytes = 8 << 10
 
+// chunkType is the per-type descriptor of one Obj instantiation's
+// chunks, built once with reflect: the chunk pool, whether the payload
+// may be slab-backed (chunkSlabEligible), and where its Ref words lie
+// (for the dead-region scrub).
+type chunkType struct {
+	pool sync.Pool
+	slab bool
+	// refs are the byte offsets of the Ref words in a value.
+	refs []uintptr
+}
+
+// refWord is implemented by every *Ref[U]: the walk that builds a
+// chunkType recognises a Ref field by it. refType names the Ref type
+// itself, so a struct that embeds a Ref (and so has the method
+// promoted) is walked field by field instead.
+type refWord interface{ refType() reflect.Type }
+
+func (*Ref[T]) refType() reflect.Type { return reflect.TypeOf((*Ref[T])(nil)).Elem() }
+
+var refWordType = reflect.TypeOf((*refWord)(nil)).Elem()
+
+// chunkTypes maps an Obj instantiation (keyed by a nil *T, which boxes
+// the type descriptor without allocating) to its chunkType.
+var chunkTypes sync.Map
+
+func chunkTypeOf[T any]() *chunkType {
+	key := any((*T)(nil))
+	if ct, ok := chunkTypes.Load(key); ok {
+		return ct.(*chunkType)
+	}
+	ct := new(chunkType)
+	ct.slab = ct.walk(reflect.TypeOf((*T)(nil)).Elem(), 0)
+	got, _ := chunkTypes.LoadOrStore(key, ct)
+	return got.(*chunkType)
+}
+
+// walk records the Ref words of t, laid out off bytes into the value,
+// and reports whether t is pointer-free: Ref, string, slice, map, chan,
+// func, interface and pointer fields all contain pointers the GC must
+// scan; arrays and structs are walked recursively.
+func (ct *chunkType) walk(t reflect.Type, off uintptr) (pointerFree bool) {
+	if reflect.PointerTo(t).Implements(refWordType) &&
+		reflect.New(t).Interface().(refWord).refType() == t {
+		ct.refs = append(ct.refs, off)
+		return false
+	}
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Uintptr, reflect.Float32, reflect.Float64,
+		reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		if t.Len() == 0 {
+			return true
+		}
+		n := len(ct.refs)
+		free := ct.walk(t.Elem(), off)
+		if len(ct.refs) > n {
+			for i := 1; i < t.Len(); i++ {
+				ct.walk(t.Elem(), off+uintptr(i)*t.Elem().Size())
+			}
+		}
+		return free
+	case reflect.Struct:
+		free := true
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			free = ct.walk(f.Type, off+f.Offset) && free
+		}
+		return free
+	}
+	return false
+}
+
 // objChunk is a batch of headers for one Obj instantiation. A parked
 // chunk is shared by every allocator that loads it from the slot: next
 // is an atomic cursor, so each index is claimed exactly once no matter
@@ -58,6 +140,19 @@ const chunkTargetBytes = 8 << 10
 type objChunk[T any] struct {
 	buf  []Obj[T]
 	next atomic.Int64
+	// typ is the chunk's per-type descriptor, so release needs no map
+	// lookup.
+	typ *chunkType
+	// base is the cursor when the current region took the chunk: the
+	// headers in [base, next) are the parking region's. Written by the
+	// one goroutine that holds the chunk between pool and park.
+	base int64
+	// shared marks a chunk displaced from a live region's park. An
+	// allocator of that region that loaded the chunk before the
+	// displacement may claim from it at any later time, so a later
+	// region's [base, next) may hold a live object, and the chunk is
+	// never scrubbed. Set before the pool Put, read after a pool Get.
+	shared bool
 	// box is this chunk's type-erased parking wrapper, built once at
 	// creation so parking allocates nothing.
 	box chunkBox
@@ -74,15 +169,49 @@ type objChunk[T any] struct {
 	claimed atomic.Int64
 }
 
-// release returns a displaced or type-mismatched chunk to its pool.
-// Slab chunks are region-owned, not pooled: their storage is freed by
-// reclaim's page return, so displacement just drops the reference (the
-// region's page list still holds the chunk).
-func (ch *objChunk[T]) release() {
+// release returns a chunk to its pool: one displaced from a live
+// region's park (marked shared), or a parked one at reclaim of its
+// region, scrubbed first unless shared. Slab chunks are region-owned,
+// not pooled: their storage is freed by reclaim's page return, so
+// displacement just drops the reference (the region's page list still
+// holds the chunk).
+func (ch *objChunk[T]) release(displaced bool) {
 	if ch.slab {
 		return
 	}
-	chunkPool[T]().Put(ch)
+	if displaced {
+		ch.shared = true
+	} else if !ch.shared {
+		ch.scrub()
+	}
+	ch.typ.pool.Put(ch)
+}
+
+// scrub cuts a dead region's links out of its chunk before the chunk is
+// pooled: for each of the region's headers [base, min(next, len)) it
+// stores nil into every Ref word whose target lies outside this chunk.
+// A link inside the chunk retains nothing the pooled chunk does not
+// already hold. The loads and stores are atomic because a racing
+// SetSame that passed its state check, or a blocked-deleters scan, may
+// touch the same word. Counted slots are already nil: reclaim runs the
+// unscan first.
+func (ch *objChunk[T]) scrub() {
+	refs := ch.typ.refs
+	end := min(ch.next.Load(), int64(len(ch.buf)))
+	if len(refs) == 0 || end <= ch.base {
+		return
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(ch.buf)))
+	span := uintptr(len(ch.buf)) * unsafe.Sizeof(ch.buf[0])
+	for i := ch.base; i < end; i++ {
+		v := unsafe.Pointer(&ch.buf[i])
+		for _, off := range refs {
+			w := (*unsafe.Pointer)(unsafe.Add(v, off))
+			if t := atomic.LoadPointer(w); t != nil && uintptr(t)-lo >= span {
+				atomic.StorePointer(w, nil)
+			}
+		}
+	}
 }
 
 // claim hands out one header from the chunk, or nil when the chunk is
@@ -108,7 +237,7 @@ func (ch *objChunk[T]) claim(r *Region) *Obj[T] {
 // their own pools.
 type chunkBox struct{ c chunkRef }
 
-type chunkRef interface{ release() }
+type chunkRef interface{ release(displaced bool) }
 
 // chunkParkSlotBits is log2 of the number of parking slots per region
 // (Region.chunkPark). Slots are picked by object size, so a region
@@ -130,19 +259,6 @@ const chunkParkSlots = 1 << chunkParkSlotBits
 // constant per Obj instantiation.
 func chunkParkSlot(size uintptr) int {
 	return int(uint64(size) * 0x9E3779B97F4A7C15 >> (64 - chunkParkSlotBits))
-}
-
-// chunkPools maps an Obj instantiation (keyed by a nil *T, which boxes
-// the type descriptor without allocating) to its chunk pool.
-var chunkPools sync.Map
-
-func chunkPool[T any]() *sync.Pool {
-	key := any((*T)(nil))
-	if p, ok := chunkPools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := chunkPools.LoadOrStore(key, new(sync.Pool))
-	return p.(*sync.Pool)
 }
 
 // newChunkedObj hands out one object header. Steady state is one
@@ -174,7 +290,7 @@ func newChunkedObj[T any](r *Region) (*Obj[T], error) {
 			// Another instantiation is parked here: displace it to its
 			// own pool (never dropped) and refill.
 			if slot.CompareAndSwap(b, nil) {
-				b.c.release()
+				b.c.release(true)
 			}
 			break
 		}
@@ -189,10 +305,11 @@ func newChunkedObj[T any](r *Region) (*Obj[T], error) {
 	// out of the arena's backing store when one is attached
 	// (region_slab.go); everything else — and every store refusal —
 	// takes the GC-heap pool path.
-	if r.arena.backing != nil && chunkSlabEligible[T]() {
-		return newSlabChunkedObj[T](r, slot)
+	ct := chunkTypeOf[T]()
+	if r.arena.backing != nil && ct.slab {
+		return newSlabChunkedObj[T](r, slot, ct)
 	}
-	return newHeapChunkedObj[T](r, slot)
+	return newHeapChunkedObj[T](r, slot, ct)
 }
 
 // newHeapChunkedObj is the GC-heap refill: the sync.Pool second level,
@@ -201,20 +318,21 @@ func newChunkedObj[T any](r *Region) (*Obj[T], error) {
 // exhausted by a racer that still held them — the cursor check covers
 // both. The rcgo/alloc.refill failpoint sits at its head, so it fires
 // on every park miss whether the pool or a make serves it.
-func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T], error) {
+func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chunkType) (*Obj[T], error) {
 	if err := fpAllocRefill.Eval(); err != nil {
 		return nil, fmt.Errorf("%w: allocation in region %d", err, r.id)
 	}
 	var probe Obj[T]
-	ch, _ := chunkPool[T]().Get().(*objChunk[T])
+	ch, _ := ct.pool.Get().(*objChunk[T])
 	for {
 		if ch != nil {
+			ch.base = ch.next.Load()
 			if o := ch.claim(r); o != nil {
 				if ch.next.Load() < int64(len(ch.buf)) {
 					// Offer the remainder to the slot; if a racer parked
 					// first, the chunk goes back to the pool instead.
 					if !slot.CompareAndSwap(nil, &ch.box) {
-						ch.release()
+						ct.pool.Put(ch)
 					}
 				}
 				return o, nil
@@ -225,7 +343,7 @@ func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T
 		if n < 4 {
 			n = 4
 		}
-		ch = &objChunk[T]{buf: make([]Obj[T], n)}
+		ch = &objChunk[T]{buf: make([]Obj[T], n), typ: ct}
 		ch.box.c = ch
 	}
 }

@@ -3,9 +3,12 @@ package rcgo
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"rcgo/internal/failpoint"
@@ -332,7 +335,7 @@ func TestAllocOversizedBypassesChunks(t *testing.T) {
 
 // termShape and coefShape mirror a region that interleaves two small
 // types, like grobner's list terms and their coefficients: a
-// pointer-carrying one (32 B Obj) and a pointer-free one (40 B Obj, so
+// pointer-carrying one (24 B Obj) and a pointer-free one (40 B Obj, so
 // slab-backed when the arena has a backing store).
 type termShape struct {
 	val  int64
@@ -365,6 +368,149 @@ func TestChunkParkSlotSpread(t *testing.T) {
 	for s, n := range used {
 		if n == 0 {
 			t.Errorf("no size in 8..128 B parks in slot %d of %d (spread %v)", s, chunkParkSlots, used)
+		}
+	}
+}
+
+// threeRefs is moss's 3-slot object: a word of data and three links.
+type threeRefs struct {
+	n       int64
+	a, b, c Ref[threeRefs]
+}
+
+// A Ref is one machine word, like the paper's pointers, so an object
+// pays 8 B per link and no more.
+func TestRefIsOneWord(t *testing.T) {
+	var ref Ref[threeRefs]
+	if got, want := unsafe.Sizeof(ref), unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("Ref is %d B, want one word (%d B)", got, want)
+	}
+	if got := unsafe.Sizeof(Obj[threeRefs]{}); got != 40 {
+		t.Errorf("Obj of {int64; 3 Refs} is %d B, want 40", got)
+	}
+}
+
+// Each payload type's descriptor lists its Ref words, nested structs,
+// arrays and embedded Refs included, and admits only pointer-free types
+// to slabs.
+func TestChunkTypeRefWords(t *testing.T) {
+	type inner struct {
+		x int32
+		r Ref[cachePayload]
+	}
+	type embeds struct {
+		n int64
+		Ref[cachePayload]
+	}
+	type outer struct {
+		a   int64
+		in  inner
+		arr [2]Ref[threeRefs]
+		pad [64]byte
+		emb embeds
+	}
+	var o outer
+	want := []uintptr{
+		unsafe.Offsetof(o.in) + unsafe.Offsetof(o.in.r),
+		unsafe.Offsetof(o.arr),
+		unsafe.Offsetof(o.arr) + unsafe.Sizeof(o.arr[0]),
+		unsafe.Offsetof(o.emb) + unsafe.Offsetof(o.emb.Ref),
+	}
+	ct := chunkTypeOf[outer]()
+	if !slices.Equal(ct.refs, want) {
+		t.Errorf("refs = %v, want %v", ct.refs, want)
+	}
+	if ct.slab {
+		t.Error("a type with Ref words is slab-eligible")
+	}
+	if ct := chunkTypeOf[coefShape](); ct.slab != true || len(ct.refs) != 0 {
+		t.Errorf("coefShape: slab %v refs %v, want true and none", ct.slab, ct.refs)
+	}
+}
+
+// tagNode is a SetSame-linked node that can carry a heap tag, whose
+// finalizer reports when the node's chunk has been collected.
+type tagNode struct {
+	next Ref[tagNode]
+	tag  *[32]byte
+}
+
+// A dead region's pooled chunk must not keep its earlier chunks alive.
+// The region fills one and a half chunks of a SetSame-linked list, so
+// its last chunk's first node links into the chunk before; at reclaim
+// that chunk goes to the pool, and the next region of the type parks
+// it. The scrub cuts the cross-chunk link, so the first node (in an
+// exhausted chunk nothing else names) is collected, and its tag's
+// finalizer runs.
+func TestPooledChunkRetainsNoDeadChunk(t *testing.T) {
+	a := NewArena()
+	collected := fillLinkedAndDelete(t, a)
+	r := a.NewRegion()
+	keep := Alloc[tagNode](r)
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(keep)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a pooled chunk of a deleted region keeps its first chunk alive")
+}
+
+// fillLinkedAndDelete builds the linked region and deletes it. The
+// returned channel is closed once the first node's tag is collected.
+func fillLinkedAndDelete(t *testing.T, a *Arena) <-chan struct{} {
+	per := chunkTargetBytes / int(unsafe.Sizeof(Obj[tagNode]{}))
+	r := a.NewRegion()
+	prev := Alloc[tagNode](r)
+	prev.Value.tag = new([32]byte)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(prev.Value.tag, func(*[32]byte) { close(collected) })
+	for i := 1; i < per+per/2; i++ {
+		o := Alloc[tagNode](r)
+		MustSetSame(o, &o.Value.next, prev)
+		prev = o
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	return collected
+}
+
+// The scrub cuts a dead region's cross-chunk links and keeps its
+// in-chunk ones, but spares a chunk that was displaced from a live
+// region's park: an allocator of that region may still claim a live
+// object from it. A type switch in one park slot marks the displaced
+// chunk.
+func TestScrubSparesDisplacedChunks(t *testing.T) {
+	a := NewArena()
+	r := a.NewRegion()
+	slot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[threeRefs]{}))]
+	if slot != &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[coefShape]{}))] {
+		t.Fatal("threeRefs and coefShape no longer share a park slot; pick a colliding pair")
+	}
+	Alloc[threeRefs](r)
+	displaced := slot.Load().c.(*objChunk[threeRefs])
+	Alloc[coefShape](r)
+	if !displaced.shared {
+		t.Fatal("a chunk displaced by a type switch is not marked shared")
+	}
+
+	far := Alloc[threeRefs](a.Traditional())
+	for _, shared := range []bool{false, true} {
+		ch := &objChunk[threeRefs]{buf: make([]Obj[threeRefs], 4), typ: chunkTypeOf[threeRefs](), shared: shared}
+		ch.box.c = ch
+		o, near := ch.claim(r), ch.claim(r)
+		o.Value.a.target.Store(far)
+		o.Value.b.target.Store(near)
+		ch.release(false)
+		if cut := o.Value.a.Get() == nil; cut == shared {
+			t.Errorf("shared=%v: cross-chunk link cut=%v, want %v", shared, cut, !shared)
+		}
+		if o.Value.b.Get() != near {
+			t.Errorf("shared=%v: in-chunk link was cut", shared)
 		}
 	}
 }

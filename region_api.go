@@ -597,20 +597,6 @@ func (r *Region) reclaim(parked []releaser) {
 	// 0 objects whatever its counter holds (Region.Objects), and the
 	// arena total sums only the regions still registered.
 	//
-	// Return parked allocation chunks to their per-type pools: the park
-	// is a strong reference, and a dead region must not retain chunk
-	// capacity other regions could reuse. A chunk an allocator raced out
-	// of the park is already on its way back to the pool or exhausted.
-	for i := range r.chunkPark {
-		if b := r.chunkPark[i].Swap(nil); b != nil {
-			b.c.release()
-		}
-	}
-	// Return the region's slab pages to the backing store
-	// (region_slab.go): the paper's reclaim-at-delete, for real — each
-	// page is handed back for immediate reuse once its chunk's writer
-	// gate drains, and no GC cycle is involved.
-	r.releaseSlabPages()
 	// The delete-time unscan: release the outbound counted references so
 	// the targets' counts drop (and deferred deletions may cascade), the
 	// registry's slice swapped out under its lock and released in place.
@@ -634,9 +620,27 @@ func (r *Region) reclaim(parked []releaser) {
 	// has grown onto the heap the array still holds stale copies of the
 	// first entries. A dead region stays reachable from its chunk-mates'
 	// Obj.region after the chunk is reused, and an entry left here would
-	// keep its slot's chunk — and the dead regions that chunk names —
-	// alive.
+	// keep its slot's chunk alive.
 	clear(g.inline[:])
+	// Return parked allocation chunks to their per-type pools: the park
+	// is a strong reference, and a dead region must not retain chunk
+	// capacity other regions could reuse. Each chunk is scrubbed of the
+	// dead region's cross-chunk links first (objChunk.scrub). That runs
+	// after the unscan, which must see the counted slots to drop their
+	// targets' counts. A chunk an allocator raced out of the park is
+	// already on its way back to the pool or exhausted.
+	for i := range r.chunkPark {
+		if b := r.chunkPark[i].Swap(nil); b != nil {
+			b.c.release(false)
+		}
+	}
+	// Return the region's slab pages to the backing store
+	// (region_slab.go): the paper's reclaim-at-delete, for real — each
+	// page is handed back for immediate reuse once its chunk's writer
+	// gate drains, and no GC cycle is involved. After the unscan, which
+	// reads the header of a same-region counted slot's target, and that
+	// target may live in one of the pages.
+	r.releaseSlabPages()
 	r.arena.unregister(r.id)
 	r.note(TraceRegionReclaimed, 1)
 	if p := r.parent; p != nil {

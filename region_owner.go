@@ -64,8 +64,9 @@ import (
 //     ErrRegionOwned. After Acquire returns, no shared-path store can
 //     touch the region's slots, and the barrier's lock/unlock pair
 //     gives the acquiring goroutine a happens-before edge over every
-//     prior registration — so the owner's plain reads of slot
-//     bookkeeping (Ref.registered) observe fully-written values.
+//     prior registration. The owner decides whether a store registers
+//     its slot from the value its own Swap returns, so there is no slot
+//     bookkeeping besides the slot word for it to read plainly.
 //  2. Concurrent readers while owned. Stats/Audit/Hierarchy read only
 //     atomics (or take mu, which the owner's fast paths never hold), so
 //     the owner keeps its *new* state in plain fields those readers
@@ -91,7 +92,7 @@ import (
 //     operation observes stateAlive" edge never forms — the successor
 //     needs its own publication edge over the old owner's plain writes
 //     (the flushed counters, the slot registrations merged under the
-//     registry lock, Ref.registered flags written plain). That
+//     registry lock, the token's plain slot list). That
 //     edge is the hand-off channel itself: the old owner flushes under
 //     r.mu, releases the mutex, and only then sends the successor
 //     token on the waiter's buffered channel, so every owner-local
@@ -199,10 +200,11 @@ type Owner struct {
 	objs int64
 	// m is the owner-local metric deltas.
 	m ownerCounters
-	// slots are counted slots first registered while owned, parked on
-	// the token: merged into the shared registry at Release, released
-	// by the unscan at a successful Owner.Delete (never merged), and
-	// kept here across a Delete that fails.
+	// slots are the counted slots owned stores filled from nil, parked
+	// on the token (compacted like the registry, appendSlot): merged
+	// into the shared registry at Release, released by the unscan at a
+	// successful Owner.Delete (never merged), and kept here across a
+	// Delete that fails.
 	slots []releaser
 	// revoked is set (exactly once, under r.mu) by the OwnerWatchdog's
 	// forced release; every owned operation checks it first and fails

@@ -2,7 +2,6 @@ package rcgo
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -163,48 +162,12 @@ func (a *Arena) CloseBackingStore() error {
 // ---------------------------------------------------------------------------
 // The pointer-free admission gate.
 
-// slabEligibleCache memoizes chunkSlabEligible per Obj instantiation,
-// keyed by a nil *T exactly like chunkPools.
-var slabEligibleCache sync.Map
-
 // chunkSlabEligible reports whether T may be slab-backed: T must
 // contain no Go pointers, so that nothing the GC must trace ever lives
-// in an unscanned slab page. Ref, string, slice, map, chan, func and
-// interface fields all disqualify; arrays and structs are walked
-// recursively. The verdict is computed once per instantiation.
-func chunkSlabEligible[T any]() bool {
-	key := any((*T)(nil))
-	if v, ok := slabEligibleCache.Load(key); ok {
-		return v.(bool)
-	}
-	ok := typeIsPointerFree(reflect.TypeOf((*T)(nil)).Elem())
-	slabEligibleCache.Store(key, ok)
-	return ok
-}
-
-func typeIsPointerFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.Float32, reflect.Float64,
-		reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return typeIsPointerFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !typeIsPointerFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		// Ptr, UnsafePointer, Chan, Map, Func, Interface, Slice, String
-		// all contain pointers the GC would need to scan.
-		return false
-	}
-}
+// in an unscanned slab page. The verdict is computed once per
+// instantiation, by the walk that builds T's chunkType
+// (region_alloccache.go).
+func chunkSlabEligible[T any]() bool { return chunkTypeOf[T]().slab }
 
 // ---------------------------------------------------------------------------
 // Region-owned page tracking.
@@ -328,7 +291,7 @@ func (ch *objChunk[T]) quiesce() {
 // store can never make allocation fail on its own — only the injected
 // rcgo/slab.map failpoint error surfaces, as a transient allocator
 // failure before anything is counted.
-func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T], error) {
+func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chunkType) (*Obj[T], error) {
 	var probe Obj[T]
 	// Failpoint on the map/refill window: an injected error is a
 	// refused slab map surfaced before the object is counted (nothing
@@ -339,17 +302,17 @@ func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T
 	}
 	p, err := r.arena.backing.Alloc(chunkTargetBytes)
 	if err != nil {
-		return newHeapChunkedObj[T](r, slot)
+		return newHeapChunkedObj[T](r, slot, ct)
 	}
 	n := chunkTargetBytes / int(unsafe.Sizeof(probe))
-	ch := &objChunk[T]{buf: unsafe.Slice((*Obj[T])(p), n), slab: true}
+	ch := &objChunk[T]{buf: unsafe.Slice((*Obj[T])(p), n), typ: ct, slab: true}
 	ch.box.c = ch
 	if !r.slabPages.add(slabPage{chunk: ch, p: p, size: chunkTargetBytes}) {
 		// The region is already reclaiming: return the untracked page
 		// and let the heap path hand out a header the admission check
 		// will reject against the settled state.
 		r.arena.backing.Free(p, chunkTargetBytes)
-		return newHeapChunkedObj[T](r, slot)
+		return newHeapChunkedObj[T](r, slot, ct)
 	}
 	r.note(TraceSlabMapped, 1)
 	if o := ch.claim(r); o != nil {
@@ -360,5 +323,5 @@ func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox]) (*Obj[T
 		return o, nil
 	}
 	// Quiesced before the first claim: reclaim won the race.
-	return newHeapChunkedObj[T](r, slot)
+	return newHeapChunkedObj[T](r, slot, ct)
 }

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -385,35 +386,48 @@ func TestSlabInterleavedTypesShareNoSlot(t *testing.T) {
 
 // The heap-only twin: with no backing store both types take GC-heap
 // chunks, and each type switch must leave the other type's chunk parked
-// where it was rather than displacing it to its pool.
+// where it was rather than displacing it to its pool. The chunks come
+// from process-wide pools, so one may arrive nearly used: a slot may
+// change only to refill after its chunk is exhausted.
 func TestHeapInterleavedTypesStayParked(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
 	termSlot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[termShape]{}))]
 	coefSlot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[coefShape]{}))]
 
-	Alloc[termShape](r)
-	Alloc[coefShape](r)
-	term, coef := termSlot.Load(), coefSlot.Load()
-	if term == nil || coef == nil {
-		t.Fatal("the first switch left a park slot empty")
-	}
-	if _, ok := term.c.(*objChunk[termShape]); !ok {
-		t.Fatalf("term slot holds %#v after the first switch, want the term chunk", term)
-	}
-	if _, ok := coef.c.(*objChunk[coefShape]); !ok {
-		t.Fatalf("coef slot holds %#v after the first switch, want the coef chunk", coef)
-	}
+	var term, coef *chunkBox
 	for i := 0; i < 100; i++ {
 		Alloc[termShape](r)
 		Alloc[coefShape](r)
-		if termSlot.Load() != term || coefSlot.Load() != coef {
-			t.Fatalf("switch %d displaced a parked chunk", i)
-		}
+		term = stillParked[termShape](t, i, termSlot, term)
+		coef = stillParked[coefShape](t, i, coefSlot, coef)
 	}
 	if err := r.Delete(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stillParked checks one type switch: slot must still hold prev, the T
+// chunk parked before the switch, unless prev was exhausted and the
+// slot was refilled with another T chunk (or left empty). It returns
+// the chunk parked now.
+func stillParked[T any](t *testing.T, i int, slot *atomic.Pointer[chunkBox], prev *chunkBox) *chunkBox {
+	t.Helper()
+	cur := slot.Load()
+	if cur == prev {
+		return cur
+	}
+	if prev != nil {
+		if ch := prev.c.(*objChunk[T]); ch.next.Load() < int64(len(ch.buf)) {
+			t.Fatalf("switch %d displaced a parked chunk", i)
+		}
+	}
+	if cur != nil {
+		if _, ok := cur.c.(*objChunk[T]); !ok {
+			t.Fatalf("switch %d: slot holds a %T, want a %T", i, cur.c, (*objChunk[T])(nil))
+		}
+	}
+	return cur
 }
 
 // TestSlabChurnZeroLeaks is the stress judge (run under -race by make

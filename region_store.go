@@ -2,6 +2,7 @@ package rcgo
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -38,7 +39,13 @@ const slotInline = 16
 
 // slotRegistry is a region's registry of counted (SetRef) slots: one
 // mutex and one slice that starts in the inline array and grows on the
-// heap (by append) past slotInline entries.
+// heap past slotInline entries.
+//
+// A counted store registers its slot when it fills a nil slot, so every
+// non-nil counted slot is listed, and a slot that goes non-nil, nil and
+// non-nil again is listed twice. Duplicates are harmless where slots
+// are released (the second Swap(nil) finds nil) and deduped where they
+// are counted (snapshot); appendSlot's compaction drops them.
 type slotRegistry struct {
 	mu     sync.Mutex
 	list   []releaser
@@ -50,16 +57,54 @@ func (g *slotRegistry) add(s releaser) {
 	if g.list == nil {
 		g.list = g.inline[:0]
 	}
-	g.list = append(g.list, s)
+	g.list = appendSlot(g.list, s)
 }
 
-// snapshot copies the registered slots under the lock, for the scans
-// that read them while stores go on (the auditor, the blocked-deleters
-// report).
+// appendSlot appends s to a slot list, which starts at slotInline
+// entries. A full list is first compacted: the entries whose slot is
+// now nil go, and so do earlier entries of s itself, which is being
+// listed again. If that frees fewer than half the entries the list
+// also grows as append would have grown the full list (2× while small,
+// about 1.25× past 256 entries), so each compaction's scan is paid for
+// by a constant fraction of a list of appends. The caller serializes
+// every store into the listed slots (the registry lock, or the owner
+// token).
+func appendSlot(list []releaser, s releaser) []releaser {
+	if n := len(list); n == cap(list) {
+		if n == 0 {
+			list = make([]releaser, 0, slotInline)
+		} else {
+			keep := list[:0]
+			for _, e := range list {
+				if e != s && e.targetRegion() != nil {
+					keep = append(keep, e)
+				}
+			}
+			clear(list[len(keep):])
+			if len(keep) > n/2 {
+				keep = slices.Grow(keep, n+1-len(keep))
+			}
+			list = keep
+		}
+	}
+	return append(list, s)
+}
+
+// snapshot copies the registered slots under the lock, each slot once,
+// for the scans that read them while stores go on (the auditor, the
+// blocked-deleters report).
 func (g *slotRegistry) snapshot() []releaser {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]releaser(nil), g.list...)
+	seen := make(map[releaser]struct{}, len(g.list))
+	out := make([]releaser, 0, len(g.list))
+	for _, s := range g.list {
+		if _, dup := seen[s]; !dup {
+			seen[s] = struct{}{}
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // releaser lets a region release its objects' outbound counted references
@@ -72,18 +117,18 @@ type releaser interface {
 	targetRegion() *Region
 }
 
-// Ref is a counted or annotated slot referencing an Obj. Refs that live
-// inside region objects must be updated through the holder's Set
-// methods. A given slot should be used with one store flavour only
-// (counted SetRef, or checked SetSame/SetTrad/SetParent), like a C field
-// with a fixed annotation. The zero Ref is a valid null slot.
+// Ref is a counted or annotated slot referencing an Obj: one machine
+// word, like the paper's pointers. Refs that live inside region objects
+// must be updated through the holder's Set methods. A given slot should
+// be used with one store flavour only (counted SetRef, or checked
+// SetSame/SetTrad/SetParent), like a C field with a fixed annotation.
+// The zero Ref is a valid null slot.
 type Ref[T any] struct {
 	target atomic.Pointer[Obj[T]]
-	// registered marks the slot as present in its holder region's
-	// registry; guarded by that registry's lock.
-	registered bool
 }
 
+// release drops the slot's reference at the holder's unscan. A slot
+// listed twice is released twice; the second Swap finds nil.
 func (r *Ref[T]) release(owner *Region) {
 	if t := r.target.Swap(nil); t != nil && t.region != owner {
 		t.region.decRC()
@@ -215,14 +260,13 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 				return storeError(err, f, o, hr, tr)
 			}
 		}
+		// A store that fills a nil slot registers it: on the token while
+		// owned (no shared store can race the owner's), in the holder's
+		// registry under its lock otherwise.
 		if o != nil {
 			old = slot.target.Swap(target)
-			if target != nil && !slot.registered {
-				// Plain read and write of registered: the Acquire barrier
-				// gives the owner happens-before over every pre-ownership
-				// registration, and no shared store can race while owned.
-				slot.registered = true
-				o.slots = append(o.slots, slot)
+			if target != nil && old == nil {
+				o.slots = appendSlot(o.slots, slot)
 			}
 		} else {
 			// The failpoint sits in the count-vs-registry window: the
@@ -250,8 +294,7 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 				return err
 			}
 			old = slot.target.Swap(target)
-			if target != nil && !slot.registered {
-				slot.registered = true
+			if target != nil && old == nil {
 				g.add(slot)
 			}
 			g.mu.Unlock()

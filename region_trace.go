@@ -16,8 +16,8 @@ import (
 // the count of its event kind, and hands a Tracer the region's
 // identity, its parent, and the reference count at the instant of the
 // event. Both instruments sit behind the one gate every region caches,
-// Region.instr: disarmed, a transition pays the call, one load and one
-// branch; the store fast paths never note. The tracer is installed at
+// Region.instr: disarmed, a transition pays one load and one branch,
+// inlined; the store fast paths never note. The tracer is installed at
 // NewArena (WithTracer) and fixed for the arena's life. The one
 // store-path kind, TraceStoreUpgradeable, fires at most once per
 // advisor call-site entry and only while the annotation advisor
@@ -155,14 +155,18 @@ type Tracer interface {
 // note records one lifecycle transition of r on the one instrument
 // gate: n more events of kind in the metric shards when metrics are on
 // (n is 1 but for a slab release, which counts its pages), and one
-// TraceEvent to the tracer when one is set. Disarmed, it costs the load
-// of r.instr and a branch. Callers must not hold r.mu: tracers may call
-// back into the runtime.
+// TraceEvent to the tracer when one is set. It inlines, so disarmed it
+// costs the load of r.instr and a branch, with no call. Callers must
+// not hold r.mu: tracers may call back into the runtime.
 func (r *Region) note(kind TraceKind, n int64) {
-	in := r.instr
-	if in == nil {
-		return
+	if in := r.instr; in != nil {
+		in.note(r, kind, n)
 	}
+}
+
+// note is Region.note's armed body, kept out of line so the gate
+// inlines.
+func (in *instruments) note(r *Region, kind TraceKind, n int64) {
 	if in.metrics != nil {
 		in.metrics.shard(unsafe.Pointer(r)).events[kind].Add(n)
 	}

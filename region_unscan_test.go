@@ -338,3 +338,62 @@ func TestDeadRegionRegistryRetainsNothing(t *testing.T) {
 		}
 	}
 }
+
+// A counted slot toggled between nil and an external target is
+// registered each time it fills, so its holder's registry (and, while
+// owned, the token's slot list) must compact rather than grow: 10,000
+// round trips on each path leave at most 2*slotInline entries, the
+// audit counts the slot once, and the unscan releases it once.
+func TestRegistryStaysBounded(t *testing.T) {
+	const rounds = 10000
+	a := NewArena()
+	tr := a.NewRegion()
+	target := Alloc[crossNode](tr)
+	hr := a.NewRegion()
+	h := Alloc[crossNode](hr)
+	for i := 0; i < rounds; i++ {
+		MustSetRef(h, &h.Value.Other, target)
+		MustSetRef(h, &h.Value.Other, nil)
+	}
+	MustSetRef(h, &h.Value.Other, target)
+	if n := len(hr.slots.list); n > 2*slotInline {
+		t.Fatalf("shared path: registry holds %d entries after %d toggles, want <= %d", n, rounds, 2*slotInline)
+	}
+	o := hr.Acquire()
+	for i := 0; i < rounds; i++ {
+		if err := SetRefOwned(o, h, &h.Value.Other, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := SetRefOwned(o, h, &h.Value.Other, target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(o.slots); n > 2*slotInline {
+		t.Fatalf("owned path: token lists %d slots after %d toggles, want <= %d", n, rounds, 2*slotInline)
+	}
+	if err := o.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(hr.slots.list); n > 2*slotInline {
+		t.Fatalf("after Release: registry holds %d entries, want <= %d", n, 2*slotInline)
+	}
+	// One more round trip lists the slot again; the counting scans
+	// must still see it once.
+	MustSetRef(h, &h.Value.Other, nil)
+	MustSetRef(h, &h.Value.Other, target)
+	if n := len(hr.slots.snapshot()); n != 1 {
+		t.Fatalf("snapshot lists %d slots, want 1", n)
+	}
+	if rep := a.Audit(); !rep.OK {
+		t.Fatalf("audit: %s", rep)
+	}
+	if got := tr.RC(); got != 1 {
+		t.Fatalf("target rc = %d, want 1", got)
+	}
+	if err := hr.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.RC(); got != 0 {
+		t.Fatalf("target rc = %d after the holder's delete, want 0", got)
+	}
+}
