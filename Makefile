@@ -36,12 +36,14 @@ test-short:
 test-shuffle:
 	$(GO) test -shuffle=on -short ./...
 
-# Repeat pass for the tests that touch the per-type chunk pools: the
-# pools are process-wide, so a second or third run of the same test
-# inherits the chunks the first left behind. A test that only passes
-# on a fresh pool fails here.
+# Repeat pass for the tests that touch process-wide state: the per-type
+# chunk pools, whose second or third run of the same test inherits the
+# chunks the first left behind, and the expvar names the trace tests
+# publish. It also repeats the layout tests (Obj's region first,
+# Region under the malloc-header line). A test that only passes on a
+# fresh process fails here.
 test-repeat:
-	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Unscan|Registry' .
+	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Unscan|Registry|Trace|RegionFirst|MallocHeader' .
 
 # Race-detector pass: the concurrent Go-native runtime stress tests
 # (region_concurrent_test.go) are only meaningful under -race. -short

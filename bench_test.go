@@ -450,21 +450,31 @@ func BenchmarkRegionRequestInstrumented(b *testing.B) {
 // TestRegionRequestAllocs holds BenchmarkRegionRequest's body to one
 // heap allocation per request: the Region. The object chunks come back
 // from the park and the pools, the registry's slots fit inline, and
-// neither admission nor the unscan allocates.
+// neither admission nor the unscan allocates. The same holds with
+// metrics and a ring tracer armed (BenchmarkRegionRequestInstrumented):
+// the ring writes each event in place.
 func TestRegionRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random, so chunk refills allocate")
 	}
-	serve := requestServer(NewArena())
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := serve(i); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		arena *Arena
+	}{
+		{"disarmed", NewArena()},
+		{"instrumented", NewArena(WithMetrics(), WithTracer(NewRingTracer(1<<12)))},
+	} {
+		serve := requestServer(tc.arena)
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := serve(i); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs > 1 {
+			t.Fatalf("%s: one request allocates %v times, want <= 1", tc.name, allocs)
 		}
-		i++
-	})
-	if allocs > 1 {
-		t.Fatalf("one request allocates %v times, want <= 1", allocs)
 	}
 }
 

@@ -204,7 +204,7 @@ func (ch *objChunk[T]) scrub() {
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(ch.buf)))
 	span := uintptr(len(ch.buf)) * unsafe.Sizeof(ch.buf[0])
 	for i := ch.base; i < end; i++ {
-		v := unsafe.Pointer(&ch.buf[i])
+		v := unsafe.Pointer(&ch.buf[i].Value)
 		for _, off := range refs {
 			w := (*unsafe.Pointer)(unsafe.Add(v, off))
 			if t := atomic.LoadPointer(w); t != nil && uintptr(t)-lo >= span {

@@ -390,6 +390,31 @@ func TestRefIsOneWord(t *testing.T) {
 	}
 }
 
+// Every Obj starts with its region, whatever its T, so a counted slot's
+// target region reads through the one type-free objHeader: for a 1-byte
+// T, a pointer-free array T and a T embedding Refs.
+func TestObjRegionFirst(t *testing.T) {
+	type embeds struct {
+		n int8
+		Ref[threeRefs]
+		tail [3]Ref[coefShape]
+	}
+	if off := unsafe.Offsetof(Obj[byte]{}.region); off != 0 {
+		t.Errorf("Obj[byte].region at offset %d, want 0", off)
+	}
+	if off := unsafe.Offsetof(Obj[[5]int16]{}.region); off != 0 {
+		t.Errorf("Obj[[5]int16].region at offset %d, want 0", off)
+	}
+	if off := unsafe.Offsetof(Obj[embeds]{}.region); off != 0 {
+		t.Errorf("Obj[embeds].region at offset %d, want 0", off)
+	}
+	r := NewArena().NewRegion()
+	o := Alloc[embeds](r)
+	if h := (*objHeader)(unsafe.Pointer(o)); h.region != r {
+		t.Errorf("objHeader reads region %p, want %p", h.region, r)
+	}
+}
+
 // Each payload type's descriptor lists its Ref words, nested structs,
 // arrays and embedded Refs included, and admits only pointer-free types
 // to slabs.
@@ -483,7 +508,9 @@ func fillLinkedAndDelete(t *testing.T, a *Arena) <-chan struct{} {
 // in-chunk ones, but spares a chunk that was displaced from a live
 // region's park: an allocator of that region may still claim a live
 // object from it. A type switch in one park slot marks the displaced
-// chunk.
+// chunk. The scrub's Ref offsets are relative to the value, not the
+// header: it must leave the header's region alone and reach the last
+// Ref word.
 func TestScrubSparesDisplacedChunks(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
@@ -503,14 +530,21 @@ func TestScrubSparesDisplacedChunks(t *testing.T) {
 		ch := &objChunk[threeRefs]{buf: make([]Obj[threeRefs], 4), typ: chunkTypeOf[threeRefs](), shared: shared}
 		ch.box.c = ch
 		o, near := ch.claim(r), ch.claim(r)
-		o.Value.a.target.Store(far)
-		o.Value.b.target.Store(near)
+		o.Value.a.swap(far)
+		o.Value.b.swap(near)
+		o.Value.c.swap(far)
 		ch.release(false)
 		if cut := o.Value.a.Get() == nil; cut == shared {
 			t.Errorf("shared=%v: cross-chunk link cut=%v, want %v", shared, cut, !shared)
 		}
+		if cut := o.Value.c.Get() == nil; cut == shared {
+			t.Errorf("shared=%v: last cross-chunk link cut=%v, want %v", shared, cut, !shared)
+		}
 		if o.Value.b.Get() != near {
 			t.Errorf("shared=%v: in-chunk link was cut", shared)
+		}
+		if o.Region() != r {
+			t.Errorf("shared=%v: the scrub overwrote the header's region", shared)
 		}
 	}
 }

@@ -39,7 +39,10 @@ import (
 //     mutex. Store fast paths never take it.
 //   - Counted slots register in one mutex-guarded registry per region
 //     (region_store.go) whose first 16 entries are inline in the
-//     Region, so a request region's SetRefs allocate nothing.
+//     Region, so a request region's SetRefs allocate nothing. An entry
+//     is the slot's word, one machine word; every Obj starts with its
+//     region, so the delete-time unscan reads a target's region
+//     through that header without knowing the target's type.
 //   - Annotated stores (SetSame, SetTrad, SetParent) and Obj.Use are
 //     entirely lock-free and write no shared memory: they read immutable
 //     region identity/ancestry plus the region state word, then write
@@ -274,10 +277,17 @@ func (r *Region) TryNewSubregion() (*Region, error) {
 
 // Obj is a region-allocated object holding a value of type T. The zero
 // Obj is not valid; use Alloc.
+//
+// The region comes first, so every Obj, whatever its T, starts with the
+// same objHeader: a counted slot's target region is read through it
+// without knowing the target's type (releaseSlot, slotTarget).
 type Obj[T any] struct {
-	Value  T
 	region *Region
+	Value  T
 }
+
+// objHeader is the type-free prefix of every Obj.
+type objHeader struct{ region *Region }
 
 // Alloc allocates a zero T in region r. It panics if r has been deleted;
 // use TryAlloc where a concurrent delete may race.
@@ -592,7 +602,7 @@ func (r *Region) DeleteDeferred() {
 // check finished under the registry lock before the drain takes it.
 // parked are the counted slots of the deleting owner's token (nil on
 // every shared path): the unscan releases them with the registry's.
-func (r *Region) reclaim(parked []releaser) {
+func (r *Region) reclaim(parked []*unsafe.Pointer) {
 	// The region's objects need no accounting here: a dead region reads
 	// 0 objects whatever its counter holds (Region.Objects), and the
 	// arena total sums only the regions still registered.
@@ -609,11 +619,11 @@ func (r *Region) reclaim(parked []releaser) {
 	slots := g.list
 	g.list = nil
 	g.mu.Unlock()
-	for _, s := range slots {
-		s.release(r)
+	for _, w := range slots {
+		releaseSlot(w, r)
 	}
-	for _, s := range parked {
-		s.release(r)
+	for _, w := range parked {
+		releaseSlot(w, r)
 	}
 	// Clear the inline array. The released slice is either a prefix of
 	// it or a heap array nothing references any more, and once the slice

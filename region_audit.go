@@ -196,15 +196,15 @@ func (a *Arena) Audit() AuditReport {
 	for _, holder := range regions {
 		slots := holder.slots.snapshot()
 		rep.SlotsScanned += len(slots)
-		for _, s := range slots {
-			t := s.targetRegion()
+		for _, w := range slots {
+			t := slotTarget(w)
 			if t == nil || t == holder {
 				continue
 			}
 			inbound[t]++
 			// Re-read after classifying so a slot cleared or a target
 			// reclaimed mid-scan does not report a spurious dangle.
-			if t.Stats().Reclaimed && s.targetRegion() == t {
+			if t.Stats().Reclaimed && slotTarget(w) == t {
 				add(AuditSlotIntoDead, holder.id, t.id, 0,
 					"registered counted slot points into reclaimed region %d", t.id)
 			}

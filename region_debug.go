@@ -177,8 +177,8 @@ func (a *Arena) BlockedDeleters() []BlockedRegion {
 		holders[z] = make(map[int64]int)
 	}
 	for _, holder := range all {
-		for _, s := range holder.slots.snapshot() {
-			if t := s.targetRegion(); t != nil && t != holder {
+		for _, w := range holder.slots.snapshot() {
+			if t := slotTarget(w); t != nil && t != holder {
 				if h, ok := holders[t]; ok {
 					h[holder.id]++
 				}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Exclusive region ownership (DESIGN.md §14): the regions-as-locks idea
@@ -73,7 +74,7 @@ import (
 //     never touch: object-count and metric deltas live on the token,
 //     newly counted slots are parked on the token instead of the shared
 //     registry. The one shared word the owner still writes per store is
-//     the slot's atomic target pointer — debug scans (targetRegion) and
+//     the slot's atomic target word — debug scans (slotTarget) and
 //     the delete-time unscan read it concurrently, and an atomic store
 //     on x86/arm64 costs the same as a plain one, so nothing is lost.
 //  3. Token transfer between goroutines. The token is not itself
@@ -205,7 +206,7 @@ type Owner struct {
 	// into the shared registry at Release, released by the unscan at a
 	// successful Owner.Delete (never merged), and kept here across a
 	// Delete that fails.
-	slots []releaser
+	slots []*unsafe.Pointer
 	// revoked is set (exactly once, under r.mu) by the OwnerWatchdog's
 	// forced release; every owned operation checks it first and fails
 	// with ErrOwnerRevoked. It is the one atomic on the token — an
@@ -524,8 +525,8 @@ func (o *Owner) mergeSlotsLocked(r *Region) {
 	}
 	g := &r.slots
 	g.mu.Lock()
-	for _, s := range o.slots {
-		g.add(s)
+	for _, w := range o.slots {
+		g.add(w)
 	}
 	g.mu.Unlock()
 	o.slots = nil

@@ -39,44 +39,47 @@ const slotInline = 16
 
 // slotRegistry is a region's registry of counted (SetRef) slots: one
 // mutex and one slice that starts in the inline array and grows on the
-// heap past slotInline entries.
+// heap past slotInline entries. An entry is the slot's word itself
+// (&Ref.target), one machine word: the unscan and the scans reach the
+// target's region through its header (objHeader) with no per-type
+// dispatch.
 //
 // A counted store registers its slot when it fills a nil slot, so every
 // non-nil counted slot is listed, and a slot that goes non-nil, nil and
 // non-nil again is listed twice. Duplicates are harmless where slots
-// are released (the second Swap(nil) finds nil) and deduped where they
-// are counted (snapshot); appendSlot's compaction drops them.
+// are released (the second swap finds nil) and deduped where they are
+// counted (snapshot); appendSlot's compaction drops them.
 type slotRegistry struct {
 	mu     sync.Mutex
-	list   []releaser
-	inline [slotInline]releaser
+	list   []*unsafe.Pointer
+	inline [slotInline]*unsafe.Pointer
 }
 
 // add registers one counted slot. Caller holds g.mu.
-func (g *slotRegistry) add(s releaser) {
+func (g *slotRegistry) add(w *unsafe.Pointer) {
 	if g.list == nil {
 		g.list = g.inline[:0]
 	}
-	g.list = appendSlot(g.list, s)
+	g.list = appendSlot(g.list, w)
 }
 
-// appendSlot appends s to a slot list, which starts at slotInline
+// appendSlot appends w to a slot list, which starts at slotInline
 // entries. A full list is first compacted: the entries whose slot is
-// now nil go, and so do earlier entries of s itself, which is being
+// now nil go, and so do earlier entries of w itself, which is being
 // listed again. If that frees fewer than half the entries the list
 // also grows as append would have grown the full list (2× while small,
 // about 1.25× past 256 entries), so each compaction's scan is paid for
 // by a constant fraction of a list of appends. The caller serializes
 // every store into the listed slots (the registry lock, or the owner
 // token).
-func appendSlot(list []releaser, s releaser) []releaser {
+func appendSlot(list []*unsafe.Pointer, w *unsafe.Pointer) []*unsafe.Pointer {
 	if n := len(list); n == cap(list) {
 		if n == 0 {
-			list = make([]releaser, 0, slotInline)
+			list = make([]*unsafe.Pointer, 0, slotInline)
 		} else {
 			keep := list[:0]
 			for _, e := range list {
-				if e != s && e.targetRegion() != nil {
+				if e != w && atomic.LoadPointer(e) != nil {
 					keep = append(keep, e)
 				}
 			}
@@ -87,34 +90,46 @@ func appendSlot(list []releaser, s releaser) []releaser {
 			list = keep
 		}
 	}
-	return append(list, s)
+	return append(list, w)
 }
 
 // snapshot copies the registered slots under the lock, each slot once,
 // for the scans that read them while stores go on (the auditor, the
 // blocked-deleters report).
-func (g *slotRegistry) snapshot() []releaser {
+func (g *slotRegistry) snapshot() []*unsafe.Pointer {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	seen := make(map[releaser]struct{}, len(g.list))
-	out := make([]releaser, 0, len(g.list))
-	for _, s := range g.list {
-		if _, dup := seen[s]; !dup {
-			seen[s] = struct{}{}
-			out = append(out, s)
+	seen := make(map[*unsafe.Pointer]struct{}, len(g.list))
+	out := make([]*unsafe.Pointer, 0, len(g.list))
+	for _, w := range g.list {
+		if _, dup := seen[w]; !dup {
+			seen[w] = struct{}{}
+			out = append(out, w)
 		}
 	}
 	return out
 }
 
-// releaser lets a region release its objects' outbound counted references
-// at delete time without knowing their element types. targetRegion is
-// the debug inspector's read-only view of the same slot: the
-// blocked-deleters report (region_debug.go) scans the registries to name
-// which slots pin a zombie region.
-type releaser interface {
-	release(owner *Region)
-	targetRegion() *Region
+// releaseSlot drops one registered slot's reference at its holder's
+// unscan: it swaps the word to nil and releases the target's region
+// unless that is the holder's own. A slot listed twice is released
+// twice; the second swap finds nil.
+func releaseSlot(w *unsafe.Pointer, owner *Region) {
+	if t := atomic.SwapPointer(w, nil); t != nil {
+		if tr := (*objHeader)(t).region; tr != owner {
+			tr.decRC()
+		}
+	}
+}
+
+// slotTarget reports the region a registered slot currently points
+// into (nil for a null slot), for the scans that count slots: the
+// auditor and the blocked-deleters report.
+func slotTarget(w *unsafe.Pointer) *Region {
+	if t := atomic.LoadPointer(w); t != nil {
+		return (*objHeader)(t).region
+	}
+	return nil
 }
 
 // Ref is a counted or annotated slot referencing an Obj: one machine
@@ -124,28 +139,27 @@ type releaser interface {
 // SetSame/SetTrad/SetParent), like a C field with a fixed annotation.
 // The zero Ref is a valid null slot.
 type Ref[T any] struct {
-	target atomic.Pointer[Obj[T]]
+	_ noCopy
+	// target is nil or an *Obj[T], accessed only through sync/atomic.
+	// Untyped so that a registry entry, &target, is the same one-word
+	// type for every T.
+	target unsafe.Pointer
 }
 
-// release drops the slot's reference at the holder's unscan. A slot
-// listed twice is released twice; the second Swap finds nil.
-func (r *Ref[T]) release(owner *Region) {
-	if t := r.target.Swap(nil); t != nil && t.region != owner {
-		t.region.decRC()
-	}
-}
+// noCopy makes go vet's copylocks check report a copied Ref: a copy
+// bypasses the store core, so it is an uncounted, unchecked reference.
+type noCopy struct{}
 
-// targetRegion reports the region the slot currently points into (nil
-// for a null slot), for the debug inspector's blocked-deleters scan.
-func (r *Ref[T]) targetRegion() *Region {
-	if t := r.target.Load(); t != nil {
-		return t.region
-	}
-	return nil
-}
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Get returns the referenced object (nil if the Ref is null).
-func (r *Ref[T]) Get() *Obj[T] { return r.target.Load() }
+func (r *Ref[T]) Get() *Obj[T] { return (*Obj[T])(atomic.LoadPointer(&r.target)) }
+
+// swap stores o into the slot and returns the object it displaced.
+func (r *Ref[T]) swap(o *Obj[T]) *Obj[T] {
+	return (*Obj[T])(atomic.SwapPointer(&r.target, unsafe.Pointer(o)))
+}
 
 // SetRef performs holder.slot = target with the full reference-count
 // update of the paper's Figure 3(a): counts change only when the store
@@ -264,9 +278,9 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 		// owned (no shared store can race the owner's), in the holder's
 		// registry under its lock otherwise.
 		if o != nil {
-			old = slot.target.Swap(target)
+			old = slot.swap(target)
 			if target != nil && old == nil {
-				o.slots = appendSlot(o.slots, slot)
+				o.slots = appendSlot(o.slots, &slot.target)
 			}
 		} else {
 			// The failpoint sits in the count-vs-registry window: the
@@ -293,9 +307,9 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 				}
 				return err
 			}
-			old = slot.target.Swap(target)
+			old = slot.swap(target)
 			if target != nil && old == nil {
-				g.add(slot)
+				g.add(&slot.target)
 			}
 			g.mu.Unlock()
 		}
@@ -305,7 +319,7 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 		in.advisor.observe(hr, tr, f)
 	}
 	if f != FlavourRef {
-		slot.target.Store(target)
+		atomic.StorePointer(&slot.target, unsafe.Pointer(target))
 	} else if old != nil && old.region != hr {
 		// Release the displaced reference outside the registry lock: the drop
 		// can reclaim a deferred-deleted region, which takes its own locks.

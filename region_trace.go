@@ -187,11 +187,12 @@ func (in *instruments) note(r *Region, kind TraceKind, n int64) {
 }
 
 // RingTracer is a lock-free, fixed-capacity ring buffer of the most
-// recent lifecycle events. Writers never block and never take a lock: a
-// single atomic fetch-add claims a slot, and the event is published with
-// an atomic pointer store, so the tracer is safe on the delete path of
-// any number of goroutines. When the ring wraps, the oldest events are
-// overwritten.
+// recent lifecycle events. Writers never block, never take a lock and
+// never allocate: a single atomic fetch-add claims a slot, and the
+// event is written into the slot's atomic fields under the slot's
+// sequence word (a per-slot seqlock), so the tracer is safe on the
+// delete path of any number of goroutines. When the ring wraps, the
+// oldest events are overwritten.
 //
 // Total counts every event ever traced (monotonic, never wraps), so a
 // reader can detect overwrites: Total() - len(Events()) events have been
@@ -199,7 +200,21 @@ func (in *instruments) note(r *Region, kind TraceKind, n int64) {
 type RingTracer struct {
 	mask  uint64
 	pos   atomic.Uint64
-	slots []atomic.Pointer[TraceEvent]
+	slots []ringSlot
+}
+
+// ringSlot is one event of the ring. stamp is 2·seq+1 while the event
+// with sequence number seq is being written, 2·seq+2 once it is
+// complete, and 0 before the slot's first event; every other field is
+// written only between those two stamps, by the one writer that moved
+// stamp to odd.
+type ringSlot struct {
+	stamp      atomic.Uint64
+	kind       atomic.Int32
+	region     atomic.Int64
+	parent     atomic.Int64
+	rc         atomic.Int64
+	subregions atomic.Int64
 }
 
 // NewRingTracer creates a ring holding the last capacity events
@@ -209,14 +224,44 @@ func NewRingTracer(capacity int) *RingTracer {
 	for n < capacity {
 		n <<= 1
 	}
-	return &RingTracer{mask: uint64(n - 1), slots: make([]atomic.Pointer[TraceEvent], n)}
+	return &RingTracer{mask: uint64(n - 1), slots: make([]ringSlot, n)}
 }
 
-// Trace implements Tracer.
+// Trace implements Tracer. A writer whose slot is already stamped with
+// a later event, or is mid-write by another writer (the ring lapped
+// while that writer was between its stamps), abandons its event: two
+// writers never write one slot's fields at once.
 func (t *RingTracer) Trace(ev TraceEvent) {
-	i := t.pos.Add(1) - 1
-	ev.Seq = i
-	t.slots[i&t.mask].Store(&ev)
+	seq := t.pos.Add(1) - 1
+	s := &t.slots[seq&t.mask]
+	cur := s.stamp.Load()
+	if cur&1 == 1 || cur >= 2*seq+2 || !s.stamp.CompareAndSwap(cur, 2*seq+1) {
+		return
+	}
+	s.kind.Store(int32(ev.Kind))
+	s.region.Store(ev.Region)
+	s.parent.Store(ev.Parent)
+	s.rc.Store(ev.RC)
+	s.subregions.Store(ev.Subregions)
+	s.stamp.Store(2*seq + 2)
+}
+
+// load reads the slot's event, or reports false for a slot with no
+// complete event or one a writer overwrote while it was being read.
+func (s *ringSlot) load() (TraceEvent, bool) {
+	st := s.stamp.Load()
+	if st == 0 || st&1 == 1 {
+		return TraceEvent{}, false
+	}
+	ev := TraceEvent{
+		Seq:        st/2 - 1,
+		Kind:       TraceKind(s.kind.Load()),
+		Region:     s.region.Load(),
+		Parent:     s.parent.Load(),
+		RC:         s.rc.Load(),
+		Subregions: s.subregions.Load(),
+	}
+	return ev, s.stamp.Load() == st
 }
 
 // Total returns the number of events ever traced, including any that
@@ -286,13 +331,14 @@ func (a *Arena) traceEvents() ([]TraceEvent, bool) {
 
 // Events returns the buffered events in sequence order, oldest first.
 // The snapshot is taken without stopping writers: under concurrent
-// tracing it is a consistent set of recently published events, not an
-// atomic cut; once tracing quiesces it is exact.
+// tracing it is a set of recently completed events, each one whole,
+// not an atomic cut — a slot being written or overwritten while it is
+// read is skipped; once tracing quiesces it is exact.
 func (t *RingTracer) Events() []TraceEvent {
 	out := make([]TraceEvent, 0, len(t.slots))
 	for i := range t.slots {
-		if ev := t.slots[i].Load(); ev != nil {
-			out = append(out, *ev)
+		if ev, ok := t.slots[i].load(); ok {
+			out = append(out, ev)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -423,6 +423,77 @@ func TestRingTracerConcurrent(t *testing.T) {
 	}
 }
 
+// Tracing into the ring allocates nothing: each event is written into
+// its slot's fields, not published through a fresh pointer.
+func TestRingTracerTraceDoesNotAllocate(t *testing.T) {
+	ring := NewRingTracer(64)
+	var tr Tracer = ring
+	ev := TraceEvent{Kind: TraceRegionDeleted, Region: 7, Parent: 3, RC: 1, Subregions: 2}
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Trace(ev) }); allocs != 0 {
+		t.Fatalf("Trace allocates %v times per event, want 0", allocs)
+	}
+}
+
+// consistentEvent builds the event a writer traces for x: every field
+// is a function of x, so a reader can tell a whole event from one whose
+// fields come from two writers.
+func consistentEvent(x int64) TraceEvent {
+	return TraceEvent{
+		Kind:       TraceKind(x % int64(traceKinds)),
+		Region:     x,
+		Parent:     x ^ 0x5555,
+		RC:         -x,
+		Subregions: 3 * x,
+	}
+}
+
+// Four writers lap a 16-event ring while a reader snapshots it: every
+// event Events returns is whole (its fields agree), and its sequence
+// numbers are distinct and ascending. Meaningful under -race, which
+// also checks the slots are written and read only atomically.
+func TestRingTracerEventsWholeUnderWrap(t *testing.T) {
+	const writers, events = 4, 5000
+	ring := NewRingTracer(16)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int64) {
+			defer wg.Done()
+			for i := int64(1); i <= events; i++ {
+				ring.Trace(consistentEvent(w*events + i))
+			}
+		}(int64(w))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func(evs []TraceEvent) {
+		t.Helper()
+		for i, ev := range evs {
+			want := consistentEvent(ev.Region)
+			want.Seq = ev.Seq
+			if ev != want {
+				t.Fatalf("torn event %+v", ev)
+			}
+			if i > 0 && ev.Seq <= evs[i-1].Seq {
+				t.Fatalf("events %d and %d have seqs %d, %d", i-1, i, evs[i-1].Seq, ev.Seq)
+			}
+		}
+	}
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			evs := ring.Events()
+			check(evs)
+			if len(evs) != 16 || ring.Total() != writers*events {
+				t.Fatalf("at quiesce: %d events of %d traced, want 16 of %d", len(evs), ring.Total(), writers*events)
+			}
+			return
+		default:
+			check(ring.Events())
+		}
+	}
+}
+
 // Regression: Region.Stats must return even while hot mutators keep the
 // reference count churning. The re-read loop that pairs rc with the
 // state word is bounded (statsRCRetries); before the bound a tight

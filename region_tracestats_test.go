@@ -3,10 +3,12 @@ package rcgo
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -49,6 +51,9 @@ func TestRingTracerDropCount(t *testing.T) {
 	}
 }
 
+// tracestatsRuns numbers TestTraceStatsSurfaceInDebugAndExpvar's runs.
+var tracestatsRuns atomic.Int64
+
 // The drop count surfaces through every monitoring channel — the
 // DebugHandler index and /counters JSON, and PublishExpvar.
 func TestTraceStatsSurfaceInDebugAndExpvar(t *testing.T) {
@@ -90,7 +95,9 @@ func TestTraceStatsSurfaceInDebugAndExpvar(t *testing.T) {
 		t.Fatalf("/counters trace = %+v, want nonzero drops", doc.Trace)
 	}
 
-	const name = "rcgo.test.tracestats"
+	// expvar names are process-wide and never unpublished: each run
+	// publishes its own, so the test repeats under -count.
+	name := fmt.Sprintf("rcgo.test.tracestats.%d", tracestatsRuns.Add(1))
 	if err := a.PublishExpvar(name); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // Tests of the slot registry and the delete-time unscan (reclaim):
@@ -395,5 +396,35 @@ func TestRegistryStaysBounded(t *testing.T) {
 	}
 	if got := tr.RC(); got != 0 {
 		t.Fatalf("target rc = %d after the holder's delete, want 0", got)
+	}
+}
+
+// The registry's inline entries keep Region under 512 B, the size past
+// which Go puts a malloc header on every pointer-holding object.
+func TestRegionBelowMallocHeader(t *testing.T) {
+	if got := unsafe.Sizeof(Region{}); got > 512 {
+		t.Fatalf("Region is %d B, want <= 512", got)
+	}
+}
+
+// A registry entry is the slot's word, one machine word: 1,440 counted
+// slots from one region's objects leave a list of at most 1.3 × 1,440
+// words, growth slack included.
+func TestRegistryBytesPerSlot(t *testing.T) {
+	const slots = 1440
+	a := NewArena()
+	target := Alloc[crossNode](a.NewRegion())
+	r := a.NewRegion()
+	for i := 0; i < slots; i++ {
+		h := Alloc[crossNode](r)
+		MustSetRef(h, &h.Value.Other, target)
+	}
+	list := r.slots.list
+	if len(list) != slots {
+		t.Fatalf("registry lists %d slots, want %d", len(list), slots)
+	}
+	word := unsafe.Sizeof(uintptr(0))
+	if got, limit := uintptr(cap(list))*unsafe.Sizeof(list[0]), uintptr(1.3*slots)*word; got > limit {
+		t.Fatalf("registry holds %d B for %d slots, want <= %d B", got, slots, limit)
 	}
 }
