@@ -43,7 +43,7 @@ test-shuffle:
 # Region under the malloc-header line). A test that only passes on a
 # fresh process fails here.
 test-repeat:
-	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Unscan|Registry|Trace|RegionFirst|MallocHeader' .
+	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Unscan|Registry|Trace|RegionFirst|MallocHeader|CacheLines' .
 
 # Race-detector pass: the concurrent Go-native runtime stress tests
 # (region_concurrent_test.go) are only meaningful under -race. -short

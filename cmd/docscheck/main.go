@@ -1,9 +1,9 @@
 // Command docscheck keeps the repository's documentation anchored to
-// the tree it describes. Two classes of drift have bitten this repo
-// before — a table row naming a file that was later renamed, and a
+// the tree it describes. Three classes of drift are cheap to catch
+// mechanically — a table row naming a file that was later renamed, a
 // "DESIGN.md §N" cross-reference pointing at a section that does not
-// exist yet — and both are cheap to catch mechanically, so `make
-// docs-check` (and CI) runs this on every change.
+// exist yet, and an audit rule added or deleted without its row in the
+// rule table — so `make docs-check` (and CI) runs this on every change.
 //
 // Checks:
 //
@@ -15,6 +15,11 @@
 //  2. Every `DESIGN.md §N` cross-reference in a *.go or *.md file
 //     resolves to a real `## N.` section heading in DESIGN.md. Range
 //     references (`DESIGN.md §14–15`) are checked at both endpoints.
+//  3. The audit rules named in DESIGN.md §10's rule table (the table
+//     headed `| rule | invariant |`; the backticked first cell of each
+//     row) are exactly the string values
+//     of the `Audit*` constants in region_audit.go: a rule with no row,
+//     or a row with no rule, is reported.
 //
 // Exit status is non-zero if any reference dangles, with one line per
 // problem; on success it prints a one-line summary of what was checked.
@@ -27,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -35,6 +41,8 @@ var (
 	tokenRe = regexp.MustCompile("`([^`]+)`")
 	// `## 14. Ownership and transfer` — DESIGN.md's numbered sections.
 	headingRe = regexp.MustCompile(`^## ([0-9]+)\.`)
+	// `AuditSlabPagesTotal = "slab-pages-total"` in region_audit.go.
+	ruleConstRe = regexp.MustCompile(`^\s*Audit[A-Za-z]+\s*=\s*"([^"]+)"`)
 	// `DESIGN.md §11` or a range, `DESIGN.md §14–15` / `§14–§15`.
 	// The en dash is the house style but a plain hyphen also counts.
 	refRe = regexp.MustCompile(`DESIGN\.md §([0-9]+)(?:[–-]§?([0-9]+))?`)
@@ -141,13 +149,64 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Check 3: DESIGN.md §10's rule table names exactly the audit rules.
+	rules := 0
+	src, err := os.ReadFile(filepath.Join(*root, "region_audit.go"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(1)
+	}
+	inCode := map[string]bool{}
+	for _, l := range strings.Split(string(src), "\n") {
+		if m := ruleConstRe.FindStringSubmatch(l); m != nil {
+			inCode[m[1]] = true
+		}
+	}
+	inTable := map[string]bool{}
+	section, inRuleTable := "", false
+	for _, l := range strings.Split(string(design), "\n") {
+		if m := headingRe.FindStringSubmatch(l); m != nil {
+			section = m[1]
+		}
+		switch {
+		case section == "10" && strings.HasPrefix(l, "| rule |"):
+			inRuleTable = true
+		case !strings.HasPrefix(l, "|"):
+			inRuleTable = false
+		case inRuleTable:
+			if m := tokenRe.FindStringSubmatch(strings.Split(l, "|")[1]); m != nil {
+				inTable[m[1]] = true
+			}
+		}
+	}
+	for _, name := range sortedKeys(inCode) {
+		rules++
+		if !inTable[name] {
+			fail("DESIGN.md §10: audit rule `%s` (region_audit.go) has no row in the rule table", name)
+		}
+	}
+	for _, name := range sortedKeys(inTable) {
+		if !inCode[name] {
+			fail("DESIGN.md §10: rule table row `%s` names no Audit* constant in region_audit.go", name)
+		}
+	}
+
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d dangling reference(s)\n", len(problems))
+		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d table entries exist, %d §-references resolve across %d DESIGN.md sections\n",
-		entries, refs, len(sections))
+	fmt.Printf("docscheck: %d table entries exist, %d §-references resolve across %d DESIGN.md sections, %d audit rules documented\n",
+		entries, refs, len(sections), rules)
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -73,10 +73,9 @@ const (
 // Arena is a reference-counted region heap for Go values, created by
 // NewArena (region_fabric.go) and internally sharded: regions hash
 // across the fabric's shards, each of which owns an id-sequence
-// segment, a registry segment, and its slice of every arena-wide
-// total. All methods are safe for concurrent use, and every reader
-// (Stats, Audit, EachRegion, the debug inspector) aggregates across
-// shards so the fabric is invisible to callers.
+// segment and a registry segment. All methods are safe for concurrent
+// use, and every reader (Stats, Audit, EachRegion, the debug
+// inspector) walks every shard so the fabric is invisible to callers.
 type Arena struct {
 	// shards is the fabric (region_fabric.go); immutable after
 	// construction. shardMask = len(shards)-1 (the count is a power of
@@ -111,11 +110,7 @@ type Arena struct {
 // Delete, which fails while external references remain. All methods are
 // safe for concurrent use.
 type Region struct {
-	arena *Arena
-	// shard is the fabric shard the region was assigned to at creation
-	// (immutable): the shard whose id sequence minted r.id and whose
-	// counters carry this region's share of the arena totals.
-	shard  *arenaShard
+	arena  *Arena
 	parent *Region // immutable after creation
 	id     int64
 	// instr is the one instrument gate: it points at arena.instr when
@@ -225,7 +220,7 @@ func (r *Region) ID() int64 { return r.id }
 // newRegion creates and publishes a region below parent (nil for
 // top-level). The region is assigned to a fabric shard by hashing its
 // own address (region_fabric.go), takes its id from that shard's
-// sequence, and counts toward that shard's totals for life.
+// sequence, and is registered in that shard's registry for life.
 // Registration happens after the parent pointer is set so the debug
 // inspector never observes a half-built region.
 func (a *Arena) newRegion(parent *Region) *Region {
@@ -234,10 +229,7 @@ func (a *Arena) newRegion(parent *Region) *Region {
 		r.instr = &a.instr
 	}
 	idx := a.shardIndexFor(unsafe.Pointer(r))
-	sh := &a.shards[idx]
-	r.shard = sh
-	r.id = sh.nextSeq.Add(1)<<shardIDBits | int64(idx)
-	sh.liveRegions.Add(1)
+	r.id = a.shards[idx].nextSeq.Add(1)<<shardIDBits | int64(idx)
 	a.register(r)
 	r.note(TraceRegionCreated, 1)
 	return r
@@ -455,7 +447,6 @@ func (r *Region) drain(force bool) bool {
 	r.mu.Lock()
 	if r.state.Load() == stateZombie && r.rc.Load() == 0 && r.children.Load() == 0 {
 		r.state.Store(stateDead)
-		r.shard.deferredRegions.Add(-1)
 		r.mu.Unlock()
 		r.reclaim(nil)
 		return true
@@ -544,7 +535,6 @@ func (r *Region) Delete() error {
 		return fmt.Errorf("%w (rc=%d)", ErrRegionInUse, n)
 	}
 	r.state.Store(stateDead)
-	r.shard.liveRegions.Add(-1)
 	r.mu.Unlock()
 	r.note(TraceRegionDeleted, 1)
 	r.reclaim(nil)
@@ -578,7 +568,6 @@ func (r *Region) DeleteDeferred() {
 	fpDeleteDying.Perturb()
 	if drained {
 		r.state.Store(stateDead)
-		r.shard.liveRegions.Add(-1)
 		r.mu.Unlock()
 		r.note(TraceRegionDeleted, 1)
 		r.reclaim(nil)
@@ -586,8 +575,6 @@ func (r *Region) DeleteDeferred() {
 	}
 	r.state.Store(stateZombie)
 	r.since = time.Now()
-	r.shard.liveRegions.Add(-1)
-	r.shard.deferredRegions.Add(1)
 	r.mu.Unlock()
 	r.note(TraceRegionDeferred, 1)
 	// A decRC or child delete that took the last count to zero after the

@@ -9,7 +9,7 @@ import (
 // Whole-arena invariant auditing. Audit cross-checks every piece of
 // bookkeeping the runtime maintains redundantly — per-region atomic
 // counters, the per-region slot registries, the parent/child population,
-// and the arena-wide totals — and reports every inconsistency as a
+// the owner linkage and the backing store's pages — and reports every inconsistency as a
 // structured violation. The paper's safety argument reduces to "a
 // region is reclaimed only when its external reference count is zero";
 // the auditor checks that the reference counts themselves are telling
@@ -34,8 +34,8 @@ import (
 // released (the chaos ownership phase audits after quiesce, when
 // Acquires == Releases). Everything else stays exact.
 
-// Audit rule names, one per invariant class. Enumerated in DESIGN.md
-// §"Failure model".
+// Audit rule names, one per invariant class. Tabled in DESIGN.md §10,
+// whose rule table cmd/docscheck holds to exactly these values.
 const (
 	// AuditNegativeCounter: a region counter (rc, pins, objects,
 	// subregions) is negative — an unbalanced increment/decrement pair.
@@ -64,13 +64,6 @@ const (
 	// subregions but was not reclaimed — a lost drain wakeup (the
 	// zombie.drain failpoint induces this; SweepZombies heals it).
 	AuditZombieReclaimable = "zombie-reclaimable"
-	// AuditLiveRegionsTotal / AuditDeferredRegionsTotal: a fabric
-	// shard's slice of an arena-wide total disagrees with the sum over
-	// the regions assigned to that shard (region_fabric.go). Checked per
-	// shard, so a region accounted on the wrong shard is a violation
-	// even when the arena-wide sum happens to balance.
-	AuditLiveRegionsTotal     = "live-regions-total"
-	AuditDeferredRegionsTotal = "deferred-regions-total"
 	// AuditOwnedState: a region's owned flag and its owner token pointer
 	// disagree — stateOwned with no Owner installed, or an Owner
 	// installed on a region that is not owned (region_owner.go). Both
@@ -78,10 +71,6 @@ const (
 	// disagreement means a broken acquire/release transition; on a live
 	// arena a transition between the two reads makes this advisory.
 	AuditOwnedState = "owned-state"
-	// AuditOwnedRegionsTotal: a fabric shard's ownedRegions counter
-	// disagrees with the registered stateOwned regions assigned to it,
-	// same per-shard discipline as the other total rules.
-	AuditOwnedRegionsTotal = "owned-regions-total"
 	// AuditWaitersOnUnowned: a region that is not exclusively owned has
 	// AcquireContext waiters parked on its queue (region_owner.go).
 	// Waiters are appended only while stateOwned and the hand-off never
@@ -90,12 +79,6 @@ const (
 	// transition; on a live arena a transition between the two samples
 	// makes this advisory.
 	AuditWaitersOnUnowned = "waiters-on-unowned"
-	// AuditAcquireWaitersTotal: a fabric shard's acquireWaiters gauge
-	// disagrees with the summed wait-queue lengths of the regions
-	// assigned to it, same per-shard discipline as the other total
-	// rules. Exact at quiesce (every parked waiter is counted on its
-	// region's shard at park and uncounted at pop/splice/queue-failure).
-	AuditAcquireWaitersTotal = "acquire-waiters-total"
 	// AuditSlabPagesTotal: the backing store's in-use page count
 	// disagrees with the pages tracked by the registered regions' slab
 	// page lists (region_slab.go). At quiesce every carved page is on
@@ -212,14 +195,8 @@ func (a *Arena) Audit() AuditReport {
 	}
 
 	// Pass 2: per-region counters and state legality, plus the
-	// parent/child population. The per-region sums are indexed by the
-	// fabric shard each region is assigned to (decoded from its id), so
-	// pass 3 can hold every shard to its own slice of the totals.
+	// parent/child population.
 	childCount := make(map[*Region]int64, len(regions))
-	liveByShard := make([]int64, len(a.shards))
-	deferredByShard := make([]int64, len(a.shards))
-	ownedByShard := make([]int64, len(a.shards))
-	waitersByShard := make([]int64, len(a.shards))
 	for _, r := range regions {
 		ownerBefore := r.owner.Load() != nil
 		waitersBefore := r.waiterCount()
@@ -231,15 +208,6 @@ func (a *Arena) Audit() AuditReport {
 			// Reclaimed and unregistered: it died between the walk and
 			// this read — not part of the population being audited.
 			continue
-		}
-		shard := int(uint64(r.id) & a.shardMask)
-		if st.Deferred {
-			deferredByShard[shard]++
-		} else {
-			liveByShard[shard]++
-		}
-		if st.Owned {
-			ownedByShard[shard]++
 		}
 		// Owner linkage: the owned flag and the token pointer transition
 		// together under mu. Sample the pointer on both sides of the
@@ -258,7 +226,6 @@ func (a *Arena) Audit() AuditReport {
 		// so a hand-off or a Release draining the queue between the reads
 		// is not a violation.
 		waitersAfter := r.waiterCount()
-		waitersByShard[shard] += int64(waitersAfter)
 		if !st.Owned && waitersBefore > 0 && waitersAfter > 0 {
 			add(AuditWaitersOnUnowned, r.id, int64(waitersAfter), 0,
 				"%d AcquireContext waiters parked on a region that is not owned", waitersAfter)
@@ -301,32 +268,7 @@ func (a *Arena) Audit() AuditReport {
 		}
 	}
 
-	// Pass 3: fabric totals against the per-region sums, shard by
-	// shard. Each fabric shard's counters must cover exactly the regions
-	// whose ids encode that shard — a region accounted on the wrong
-	// shard shows up as a paired mismatch here, not as silent drift that
-	// happens to cancel in an arena-wide sum.
-	for i := range a.shards {
-		sh := &a.shards[i]
-		if got, want := sh.liveRegions.Load(), liveByShard[i]; got != want {
-			add(AuditLiveRegionsTotal, 0, got, want,
-				"shard %d LiveRegions %d != %d alive registered regions", i, got, want)
-		}
-		if got, want := sh.deferredRegions.Load(), deferredByShard[i]; got != want {
-			add(AuditDeferredRegionsTotal, 0, got, want,
-				"shard %d DeferredRegions %d != %d zombie registered regions", i, got, want)
-		}
-		if got, want := sh.ownedRegions.Load(), ownedByShard[i]; got != want {
-			add(AuditOwnedRegionsTotal, 0, got, want,
-				"shard %d OwnedRegions %d != %d owned registered regions", i, got, want)
-		}
-		if got, want := sh.acquireWaiters.Load(), waitersByShard[i]; got != want {
-			add(AuditAcquireWaitersTotal, 0, got, want,
-				"shard %d AcquireWaiters %d != %d summed wait-queue lengths", i, got, want)
-		}
-	}
-
-	// Pass 4: the backing store (region_slab.go), when attached. The
+	// Pass 3: the backing store (region_slab.go), when attached. The
 	// store's in-use pages must be exactly the pages the registered
 	// regions track — anything more is a page no reclaim will ever
 	// return — and the store's own carved = in-use + free partition

@@ -245,7 +245,8 @@ type ContendedRegion struct {
 type OwnersReport struct {
 	Owned []OwnedRegionInfo `json:"owned"`
 	// TotalWaiters is the number of AcquireContext waiters currently
-	// parked across the arena (Arena.AcquireWaiters). Zero at quiesce.
+	// parked across the arena: the queue depths this walk read, the
+	// same sum as Arena.AcquireWaiters. Zero at quiesce.
 	TotalWaiters int `json:"total_waiters"`
 	// TopContended ranks regions by cumulative waiters parked,
 	// descending, capped at the top ten; regions never contended are
@@ -262,6 +263,7 @@ func (a *Arena) Owners() OwnersReport {
 	now := time.Now()
 	a.EachRegion(func(r *Region) {
 		held, _, since, site, depth := r.ownerInfo()
+		rep.TotalWaiters += depth
 		if held {
 			rep.Owned = append(rep.Owned, OwnedRegionInfo{
 				ID:          r.id,
@@ -276,7 +278,6 @@ func (a *Arena) Owners() OwnersReport {
 			})
 		}
 	})
-	rep.TotalWaiters = int(a.AcquireWaiters())
 	sort.Slice(rep.Owned, func(i, j int) bool { return rep.Owned[i].ID < rep.Owned[j].ID })
 	sort.Slice(rep.TopContended, func(i, j int) bool {
 		if rep.TopContended[i].Waits != rep.TopContended[j].Waits {

@@ -9,32 +9,28 @@ import (
 
 // The sharding fabric inside an Arena (DESIGN.md §12).
 //
-// One arena used to funnel every region through a single id counter, one
-// pair of arena-wide population counters (liveRegions/deferredRegions)
+// One arena used to funnel every region through a single id counter
 // and one 16-way registry — shared cache lines that every region
 // creation and deletion bounced between cores. The fabric splits the
 // arena into N internal shards (default derived from GOMAXPROCS at
 // construction): a region is assigned to one shard for life at
-// creation, and everything the region updates on the arena's behalf —
-// its id sequence, its registry entry, its contribution to the
-// population totals — lives on that shard's cache lines. Regions
-// created by different goroutines land on different shards (assignment
-// hashes the region's own address, which the Go allocator hands out
-// from the creating P's spans), so concurrent region churn stops
-// sharing lines.
+// creation, and what the region touches on the arena's behalf — its id
+// sequence and its registry entry — lives on that shard's cache lines.
+// Regions created by different goroutines land on different shards
+// (assignment hashes the region's own address, which the Go allocator
+// hands out from the creating P's spans), so concurrent region churn
+// stops sharing lines.
 //
 // The fabric still looks like exactly one arena to callers:
 //
-//   - ArenaStats, LiveRegions, DeferredRegions and Counters() aggregate
-//     across shards, with the same exact-at-quiesce contract as before
-//     (each per-shard total is maintained at the same program points the
-//     arena-wide total used to be). LiveObjects keeps no shard total at
-//     all: it sums the registered regions' own object counters.
+//   - The registry is the one record of the region population. A
+//     region's state lives in its own state word and wait queue, so
+//     ArenaStats, LiveRegions, DeferredRegions, OwnedRegions,
+//     AcquireWaiters and LiveObjects count the registered regions
+//     (region_stats.go) and keep no copy that could drift; the sum is
+//     exact at quiesce. RegionsCreated sums the shards' id sequences.
 //   - EachRegion walks the shards in ascending shard-index order (see
 //     its doc comment for the consistency contract).
-//   - Audit() cross-checks every shard's totals against the regions
-//     assigned to it, so a region accounted on the wrong shard is a
-//     reported violation, not silent drift.
 //   - Region IDs are shard-encoded but globally unique and stable (see
 //     Region.ID), so traces, debug reports and audits from different
 //     shards can never collide.
@@ -59,40 +55,22 @@ const maxArenaShards = 1 << shardIDBits
 // shard still rarely share a registry lock.
 const registrySubShards = 4
 
-// arenaShard is one shard of the fabric: an id sequence segment, the
-// shard's slice of every arena-wide total, and a registry segment. The
-// counters are grouped first and padded so two shards' hot counters
-// never share a cache line.
+// arenaShard is one shard of the fabric: an id sequence segment and a
+// registry segment. nextSeq is padded to a cache line of its own, so
+// the struct is two lines and one shard's sequence never shares a line
+// with a neighbouring shard's registry locks (TestArenaShardCacheLines).
 type arenaShard struct {
 	// nextSeq is the shard's region id sequence; region ids are
 	// seq<<shardIDBits | shardIndex, so sequences on different shards can
 	// never mint the same id.
 	nextSeq atomic.Int64
-	// liveRegions / deferredRegions / ownedRegions are this shard's
-	// slice of the arena's region populations, covering exactly the
-	// regions assigned to the shard. Updated at the same program points
-	// the arena-wide counters used to be (creation, every delete-state
-	// transition; ownedRegions at the alive ⇄ owned transitions in
-	// region_owner.go), so summing the shards preserves the
-	// exact-at-quiesce contract. An owned region still counts in
-	// liveRegions — ownership is a mode of being alive. The live-object
-	// total has no shard slice: each region's own object counter is the
-	// one count (Arena.LiveObjects sums them over the registry).
-	liveRegions     atomic.Int64
-	deferredRegions atomic.Int64
-	ownedRegions    atomic.Int64
-	// acquireWaiters is the shard's count of currently-parked
-	// AcquireContext waiters (region_owner.go): +1 at park, -1 at
-	// hand-off pop, cancellation splice and Owner.Delete's queue sweep.
-	// Zero at quiesce; the audit cross-checks it against the sum of the
-	// shard's wait-queue lengths.
-	acquireWaiters atomic.Int64
-	_              [24]byte // pad the hot counters to a line of their own
+	_       [56]byte // pad the sequence to a line of its own
 
 	// registry is the shard's segment of the id→region index behind
-	// EachRegion and the debug inspector: regions register at creation
-	// and unregister at reclaim, so it holds exactly the live and zombie
-	// regions assigned to this shard.
+	// EachRegion, the population counts and the debug inspector:
+	// regions register at creation and unregister at reclaim, so it
+	// holds exactly the live and zombie regions assigned to this shard
+	// (and, briefly, one that died and is not yet unregistered).
 	registry [registrySubShards]regionShard
 }
 

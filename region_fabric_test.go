@@ -1,10 +1,13 @@
 package rcgo
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
 	"unsafe"
+
+	"rcgo/internal/failpoint"
 )
 
 type fabricNode struct {
@@ -189,6 +192,86 @@ func TestCrossShardSubregions(t *testing.T) {
 	}
 	if got := a.LiveObjects(); got != 0 {
 		t.Fatalf("LiveObjects = %d, want 0", got)
+	}
+}
+
+// The region populations are counted from each registered region's own
+// state: a region inside Delete's dying window is still live, a zombie
+// is deferred and not live, and an owned region is owned and live, its
+// parked AcquireContext waiters summed from its queue.
+func TestPopulationAcrossStates(t *testing.T) {
+	defer failpoint.DisableAll()
+	a := NewArena()
+	check := func(stage string, live, deferred, owned, waiters, objs int64) {
+		t.Helper()
+		st := a.Stats()
+		got := [...]int64{a.LiveRegions(), st.LiveRegions, a.DeferredRegions(), st.DeferredRegions,
+			a.OwnedRegions(), st.OwnedRegions, a.AcquireWaiters(), a.LiveObjects(), st.LiveObjects}
+		want := [...]int64{live, live, deferred, deferred, owned, owned, waiters, objs, objs}
+		if got != want {
+			t.Fatalf("%s: live/stats, deferred/stats, owned/stats, waiters, objects/stats = %v, want %v",
+				stage, got, want)
+		}
+	}
+	check("fresh arena", 1, 0, 0, 0, 0)
+
+	// Dying: a Delete held in its dying window still counts as live.
+	r := a.NewRegion()
+	Alloc[fabricNode](r)
+	var dying [2]int64
+	if err := failpoint.Enable("rcgo/delete.dying", failpoint.Rule{Action: failpoint.ActionHook, Hook: func() {
+		if s := r.state.Load(); s != stateDying {
+			t.Errorf("hook ran in state %d, want stateDying", s)
+		}
+		dying = [2]int64{a.LiveRegions(), a.Stats().LiveRegions}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	failpoint.DisableAll()
+	if dying != [2]int64{2, 2} {
+		t.Fatalf("inside the dying window: LiveRegions, Stats().LiveRegions = %v, want [2 2]", dying)
+	}
+	check("after delete", 1, 0, 0, 0, 0)
+
+	// Zombie: deferred, not live; its objects still count.
+	z := a.NewRegion()
+	unpin := Pin(Alloc[fabricNode](z))
+	z.DeleteDeferred()
+	check("zombie", 1, 1, 0, 0, 1)
+	unpin()
+	check("zombie reclaimed", 1, 0, 0, 0, 0)
+
+	// Owned, with two AcquireContext waiters parked behind the token.
+	o := a.NewRegion()
+	own := o.Acquire()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // a failed check must not strand the waiters
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := o.AcquireContext(ctx)
+			errs <- err
+		}()
+	}
+	waitForWaiters(t, o, 2)
+	check("owned with waiters", 2, 0, 1, 2, 0)
+	if got := a.Owners().TotalWaiters; got != 2 {
+		t.Fatalf("Owners().TotalWaiters = %d, want 2", got)
+	}
+	if err := own.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, ErrRegionDeleted) {
+			t.Fatalf("waiter on a deleted region: %v, want ErrRegionDeleted", err)
+		}
+	}
+	check("owned region deleted", 1, 0, 0, 0, 0)
+	if got := a.Owners().TotalWaiters; got != 0 {
+		t.Fatalf("Owners().TotalWaiters after reclaim = %d, want 0", got)
 	}
 }
 

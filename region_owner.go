@@ -111,8 +111,8 @@ import (
 // token has been released accounts for every owned-path operation, and
 // the chaos ownership phase judges Counters().Allocs against
 // worker-counted successes exactly. While a token is outstanding its
-// unflushed deltas are invisible to Stats/Audit (both the per-region
-// and the fabric-shard side miss them equally, so totals stay
+// unflushed deltas are invisible to Stats/Audit (the arena totals sum
+// the regions' own counters, so they miss them equally and stay
 // consistent); the audit's rc-accounting rule is advisory while any
 // region is owned, because counted slots created through a token are
 // merged into the scanned registry only at Release. Owner.Delete never
@@ -178,9 +178,9 @@ type acquireWaiter struct {
 
 // ownerCounters are the owner-local metric deltas, mirrored from
 // counterShard and flushed into one shard at Release. Plain fields:
-// only the owning goroutine touches them.
+// only the owning goroutine touches them. Owned allocations have no
+// field here: the token's object delta (Owner.objs) is that count.
 type ownerCounters struct {
-	allocs        int64
 	stores        [flavourCount]int64 // indexed by StoreFlavour, like counterShard.stores
 	checkFailures int64
 }
@@ -197,7 +197,8 @@ type Owner struct {
 	// r is the owned region; nil once the token has been released or
 	// consumed by Owner.Delete.
 	r *Region
-	// objs is the owned-allocation count not yet flushed to r.objs.
+	// objs is the owned-allocation count not yet flushed to r.objs and,
+	// with metrics on, to the Allocs counter.
 	objs int64
 	// m is the owner-local metric deltas.
 	m ownerCounters
@@ -282,7 +283,6 @@ func (r *Region) acquireLocked() (*Owner, error) {
 	o := &Owner{r: r}
 	r.owner.Store(o)
 	r.state.Store(stateOwned)
-	r.shard.ownedRegions.Add(1)
 	r.since = time.Now()
 	if r.arena.recordAcquireSites.Load() {
 		// Skip runtime.Callers, acquireLocked and its Try/AcquireContext
@@ -341,7 +341,6 @@ func (r *Region) AcquireContext(ctx context.Context) (*Owner, error) {
 		w.npc = runtime.Callers(2, w.pcs[:])
 	}
 	r.waitq = append(r.waitq, w)
-	r.shard.acquireWaiters.Add(1)
 	r.mu.Unlock()
 	r.contendedWaits.Add(1)
 	r.note(TraceAcquireBlocked, 1)
@@ -438,7 +437,6 @@ func (r *Region) removeWaiterLocked(w *acquireWaiter) bool {
 	for i, q := range r.waitq {
 		if q == w {
 			r.waitq = append(r.waitq[:i], r.waitq[i+1:]...)
-			r.shard.acquireWaiters.Add(-1)
 			return true
 		}
 	}
@@ -479,7 +477,6 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 		}
 		w = r.waitq[0]
 		r.waitq = append(r.waitq[:0], r.waitq[1:]...)
-		r.shard.acquireWaiters.Add(-1)
 		next = &Owner{r: r}
 		r.owner.Store(next)
 		r.since = time.Now()
@@ -489,7 +486,6 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 	}
 	r.owner.Store(nil)
 	r.state.Store(stateAlive)
-	r.shard.ownedRegions.Add(-1)
 	return nil, nil
 }
 
@@ -501,17 +497,17 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 // so a Delete that fails ErrRegionInUse after flushing leaves a
 // still-valid token with nothing double-counted.
 func (o *Owner) flushLocked(r *Region) {
-	if o.objs != 0 {
-		r.objs.Add(o.objs)
-		o.objs = 0
-	}
-	if c := r.counters(); c != nil && o.m.any() {
-		c.allocs.Add(o.m.allocs)
+	if c := r.counters(); c != nil && (o.objs != 0 || o.m.any()) {
+		c.allocs.Add(o.objs)
 		for f, n := range o.m.stores {
 			c.stores[f].Add(n)
 		}
 		c.checkFailures.Add(o.m.checkFailures)
 		c.ownerFlushes.Add(1)
+	}
+	if o.objs != 0 {
+		r.objs.Add(o.objs)
+		o.objs = 0
 	}
 	o.m = ownerCounters{}
 }
@@ -626,13 +622,10 @@ func (o *Owner) Delete() error {
 	// they were queueing for no longer exists.
 	waiters := r.waitq
 	r.waitq = nil
-	r.shard.acquireWaiters.Add(-int64(len(waiters)))
 	parked := o.slots
 	o.slots = nil
 	r.owner.Store(nil)
 	r.state.Store(stateDead)
-	r.shard.liveRegions.Add(-1)
-	r.shard.ownedRegions.Add(-1)
 	r.mu.Unlock()
 	o.r = nil
 	r.note(TraceRegionReleased, 1)
@@ -748,7 +741,6 @@ func TryAllocOwned[T any](o *Owner) (*Obj[T], error) {
 		return nil, err
 	}
 	o.objs++
-	o.m.allocs++
 	return obj, nil
 }
 

@@ -102,13 +102,12 @@ func (r *Region) Deleted() bool {
 // reclaim.
 func (r *Region) Deferred() bool { return r.settled() == stateZombie }
 
-// ArenaStats is a snapshot of arena-wide counters, aggregated across
-// the fabric shards (region_fabric.go). LiveObjects sums the registered
-// regions' object counters (Arena.LiveObjects); every population field
-// is the sum of the per-shard slices, each of which is maintained at the same program
-// points the pre-fabric arena-wide counter was — so the aggregate keeps
-// the exact-at-quiesce contract, while a concurrent snapshot reads the
-// shards at slightly different instants (like every other live read).
+// ArenaStats is a snapshot of arena-wide counters. The populations and
+// LiveObjects are counted from the registered regions' own state words
+// and object counters in one registry walk (Arena.population), so they
+// keep the exact-at-quiesce contract while a concurrent snapshot reads
+// the regions at slightly different instants (like every other live
+// read).
 type ArenaStats struct {
 	// LiveObjects is the number of live objects across all regions.
 	LiveObjects int64 `json:"live_objects"`
@@ -117,8 +116,8 @@ type ArenaStats struct {
 	// sequences.
 	RegionsCreated int64 `json:"regions_created"`
 	// LiveRegions is the number of regions currently alive (including
-	// the traditional region). Updated at the same point as every
-	// lifecycle state transition, so once the arena quiesces
+	// the traditional region). Counted from the regions' own state
+	// words, so once the arena quiesces
 	// LiveRegions + DeferredRegions + reclaimed == RegionsCreated.
 	LiveRegions int64 `json:"live_regions"`
 	// DeferredRegions is the number of deferred-deleted (zombie)
@@ -143,13 +142,16 @@ type ArenaStats struct {
 
 // Stats returns a snapshot of the arena-wide counters.
 func (a *Arena) Stats() ArenaStats {
-	st := ArenaStats{LiveObjects: a.LiveObjects(), Shards: len(a.shards)}
+	p := a.population()
+	st := ArenaStats{
+		LiveObjects:     p.objects,
+		LiveRegions:     p.live,
+		DeferredRegions: p.deferred,
+		OwnedRegions:    p.owned,
+		Shards:          len(a.shards),
+	}
 	for i := range a.shards {
-		sh := &a.shards[i]
-		st.RegionsCreated += sh.nextSeq.Load()
-		st.LiveRegions += sh.liveRegions.Load()
-		st.DeferredRegions += sh.deferredRegions.Load()
-		st.OwnedRegions += sh.ownedRegions.Load()
+		st.RegionsCreated += a.shards[i].nextSeq.Load()
 	}
 	if a.backing != nil {
 		ss := a.backing.Stats()
@@ -159,66 +161,68 @@ func (a *Arena) Stats() ArenaStats {
 	return st
 }
 
-// LiveRegions returns the number of regions currently alive, including
-// the traditional region.
-func (a *Arena) LiveRegions() int64 {
-	var n int64
-	for i := range a.shards {
-		n += a.shards[i].liveRegions.Load()
-	}
-	return n
+// population is one registry walk's count of the arena's regions by
+// state, with their summed object counters.
+type population struct {
+	live, deferred, owned, objects int64
 }
 
-// DeferredRegions returns the number of zombie regions awaiting
-// deferred reclaim.
-func (a *Arena) DeferredRegions() int64 {
-	var n int64
-	for i := range a.shards {
-		n += a.shards[i].deferredRegions.Load()
-	}
-	return n
-}
-
-// OwnedRegions returns the number of regions currently held through an
-// Owner token (region_owner.go).
-func (a *Arena) OwnedRegions() int64 {
-	var n int64
-	for i := range a.shards {
-		n += a.shards[i].ownedRegions.Load()
-	}
-	return n
-}
-
-// AcquireWaiters returns the number of AcquireContext contenders
-// currently parked on wait queues across the arena (region_owner.go).
-// Zero at quiesce: every waiter eventually receives a hand-off, is
-// failed by its region's death, or removes itself on cancellation.
-func (a *Arena) AcquireWaiters() int64 {
-	var n int64
-	for i := range a.shards {
-		n += a.shards[i].acquireWaiters.Load()
-	}
-	return n
-}
-
-// LiveObjects returns the number of live objects across the arena: the
-// object counters of the registered regions, summed under one registry
-// lock at a time. The registry holds exactly the live and zombie
-// regions, and a region that died but is not yet unregistered counts 0,
-// so the sum is exact at quiesce, like every other counter.
-func (a *Arena) LiveObjects() int64 {
-	var n int64
+// population walks the registry under one sub-shard lock at a time,
+// classifying each region by its own state word: an owned or dying
+// region is live (ownership is a mode of being alive, and a dying one
+// has not yet left it), a zombie is deferred, and a region that died
+// but is not yet unregistered counts nowhere. It reads only atomics,
+// never a region's mu, so it cannot order against the lifecycle lock.
+func (a *Arena) population() population {
+	var p population
 	for i := range a.shards {
 		for j := range a.shards[i].registry {
 			sh := &a.shards[i].registry[j]
 			sh.mu.Lock()
 			for _, r := range sh.m {
-				if r.state.Load() != stateDead {
-					n += r.objs.Load()
+				switch r.state.Load() {
+				case stateDead:
+					continue
+				case stateZombie:
+					p.deferred++
+				case stateOwned:
+					p.owned++
+					p.live++
+				default: // stateAlive, stateDying
+					p.live++
 				}
+				p.objects += r.objs.Load()
 			}
 			sh.mu.Unlock()
 		}
 	}
+	return p
+}
+
+// LiveRegions returns the number of regions currently alive, including
+// the traditional region and owned regions.
+func (a *Arena) LiveRegions() int64 { return a.population().live }
+
+// DeferredRegions returns the number of zombie regions awaiting
+// deferred reclaim.
+func (a *Arena) DeferredRegions() int64 { return a.population().deferred }
+
+// OwnedRegions returns the number of regions currently held through an
+// Owner token (region_owner.go).
+func (a *Arena) OwnedRegions() int64 { return a.population().owned }
+
+// AcquireWaiters returns the number of AcquireContext contenders
+// currently parked on wait queues across the arena (region_owner.go),
+// summed over the regions' queues. Zero at quiesce: every waiter
+// eventually receives a hand-off, is failed by its region's death, or
+// removes itself on cancellation.
+func (a *Arena) AcquireWaiters() int64 {
+	var n int64
+	a.EachRegion(func(r *Region) { n += int64(r.waiterCount()) })
 	return n
 }
+
+// LiveObjects returns the number of live objects across the arena: the
+// object counters of the registered regions that have not died, so the
+// sum is exact at quiesce, like every other counter.
+func (a *Arena) LiveObjects() int64 { return a.population().objects }

@@ -364,6 +364,17 @@ func TestCounterShardCacheLines(t *testing.T) {
 	}
 }
 
+// A fabric shard's id sequence has a cache line of its own: the shard
+// is a whole number of lines and its registry starts on the second.
+func TestArenaShardCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(arenaShard{}); sz%64 != 0 {
+		t.Errorf("arenaShard is %d B, not a cache-line multiple", sz)
+	}
+	if off := unsafe.Offsetof(arenaShard{}.registry); off != 64 {
+		t.Errorf("arenaShard.registry starts at offset %d, want 64", off)
+	}
+}
+
 // A full ring keeps the newest events and reports the overwritten ones
 // through Total.
 func TestRingTracerWrap(t *testing.T) {

@@ -33,8 +33,9 @@ type Backoff struct {
 	// Multiplier grows the sleep after each failed attempt (default 2).
 	Multiplier float64
 	// Jitter is the fraction of each sleep drawn uniformly at random
-	// (default 0.5): the actual sleep is d*(1-Jitter) + rand*d*Jitter,
-	// decorrelating retry storms from concurrent deleters.
+	// (default 0.5, taken for any value outside (0, 1]): the actual
+	// sleep is d*(1-Jitter) + rand*d*Jitter, decorrelating retry storms
+	// from concurrent deleters.
 	Jitter float64
 }
 
@@ -48,7 +49,7 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Multiplier < 1 {
 		b.Multiplier = 2
 	}
-	if b.Jitter < 0 || b.Jitter > 1 {
+	if b.Jitter <= 0 || b.Jitter > 1 {
 		b.Jitter = 0.5
 	}
 	return b

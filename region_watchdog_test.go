@@ -30,6 +30,28 @@ func TestDeleteWithRetrySucceedsWhenReferencesDrain(t *testing.T) {
 	}
 }
 
+// The zero Backoff jitters half of each interval, as its doc says: the
+// fourth sleep (1ms doubled three times) lands in [4ms, 8ms], and
+// concurrent deleters do not retry in lockstep.
+func TestBackoffZeroValueJitters(t *testing.T) {
+	b := Backoff{}.withDefaults()
+	if b.Jitter != 0.5 {
+		t.Fatalf("zero Backoff jitter = %v, want 0.5", b.Jitter)
+	}
+	first := b.sleep(3)
+	varied := false
+	for i := 0; i < 200; i++ {
+		d := b.sleep(3)
+		if d < 4*time.Millisecond || d > 8*time.Millisecond {
+			t.Fatalf("sleep(3) = %v, want within [4ms, 8ms]", d)
+		}
+		varied = varied || d != first
+	}
+	if !varied {
+		t.Fatalf("200 sleep(3) draws all equal %v: no jitter", first)
+	}
+}
+
 func TestDeleteWithRetryContextExpiry(t *testing.T) {
 	a := NewArena()
 	r := a.NewRegion()
