@@ -92,15 +92,17 @@ advise-smoke:
 # the BenchmarkParallelAlloc pattern matches), of the one-request
 # region lifecycle, disarmed and with metrics and a tracer armed
 # (BenchmarkRegionRequest and BenchmarkRegionRequestInstrumented, which
-# the same pattern matches) and of counted stores into one shared
-# holder region (BenchmarkParallelSetRefOneHolder). One
+# the same pattern matches), of counted stores into one shared
+# holder region (BenchmarkParallelSetRefOneHolder) and of one
+# lcc-shaped owned batch, the one benchmark whose counted stores
+# register through a token (BenchmarkOwnedBatch). One
 # round proves the machinery, not a speedup: BENCH_pr13_ab.json records the real
 # 10-round run. The chaos phases run in chaos-smoke (its own CI job)
 # and, under -race, in the race target's TestChaos.
 ab-smoke:
 	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -ab all | $(GO) run rcgo/cmd/benchlint
 	$(GO) run rcgo/examples/pipeline
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc|BenchmarkRegionRequest|BenchmarkParallelSetRefOneHolder' -benchtime 100x -cpu 2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc|BenchmarkRegionRequest|BenchmarkParallelSetRefOneHolder|BenchmarkOwnedBatch' -benchtime 100x -cpu 2 .
 
 # Documentation anchor gate: every path named in ARCHITECTURE.md's
 # tables must exist on disk, and every "DESIGN.md §N" cross-reference

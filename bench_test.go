@@ -393,9 +393,10 @@ type batchNode struct {
 // BenchmarkOwnedBatch builds one lcc-shaped batch per op on the owned
 // path: Acquire a fresh region, 98 AllocOwned with the list and peer
 // links stored by SetSameOwned, a counted SetRefOwned into a shared
-// symbol region from every fourth node (25 slots parked on the token),
-// then Owner.Delete, whose unscan releases them and whose reclaim
-// scrubs and pools the batch's chunk.
+// symbol region from every fourth node (25 slots registered in the
+// region's registry, the first 16 inline), then Owner.Delete, whose
+// unscan releases them and whose reclaim scrubs and pools the batch's
+// chunk.
 func BenchmarkOwnedBatch(b *testing.B) {
 	a := NewArena()
 	symR := a.NewRegion()

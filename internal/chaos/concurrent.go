@@ -999,7 +999,11 @@ func ownershipSetup(e *env) phaseRun {
 // small fraction of successful acquirers ABANDON their token — never
 // release it — simulating a crashed goroutine, so the OwnerWatchdog's
 // forced-release escape hatch must revoke the stale token to unwedge
-// the queue.
+// the queue. Every acquirer that allocated also makes one counted
+// SetRefOwned into a second shared region, the sink, so an abandoned
+// token holds counted references when it is revoked: the teardown's
+// delete of the hub must release them all, or the sink's delete after
+// it never succeeds.
 //
 // The judges are the acquisition-accounting contract: every minted
 // token is eventually paired with exactly one release or one
@@ -1020,7 +1024,9 @@ func contentionSetup(e *env) phaseRun {
 		wd.Stop()
 		e.res.WatchdogFlagged = wd.Flagged()
 	})
-	hub := a.NewRegion()
+	hub, sink := a.NewRegion(), a.NewRegion()
+	sinkObj := rcgo.Alloc[node](sink)
+	e.allocs.Add(1)
 
 	work := func(_ int, rng *rand.Rand) {
 		for i := 0; i < e.ops; i++ {
@@ -1076,6 +1082,10 @@ func contentionSetup(e *env) phaseRun {
 					!errors.Is(serr, rcgo.ErrOwnerRevoked) {
 					e.fail(fmt.Errorf("owned sameregion store under contention: %w", serr))
 				}
+				if serr := rcgo.SetRefOwned(own, obj, &obj.Value.Other, sinkObj); serr != nil &&
+					!errors.Is(serr, rcgo.ErrOwnerRevoked) {
+					e.fail(fmt.Errorf("owned counted store under contention: %w", serr))
+				}
 			}
 			if rng.Intn(40) == 0 {
 				// Abandon: walk away without releasing, exactly what a
@@ -1113,7 +1123,7 @@ func contentionSetup(e *env) phaseRun {
 			wd.Check()
 			time.Sleep(time.Millisecond)
 		}
-		return deleteAll(ctx, hub)
+		return deleteAll(ctx, hub, sink)
 	}
 	judge := func() error {
 		if err := e.acquired(); err != nil {

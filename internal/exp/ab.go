@@ -287,8 +287,9 @@ func churn(a *rcgo.Arena, _ *rcgo.Region, iters int) error {
 // holder stores references to two objects in a private external
 // region, alternating so every store displaces the previous reference
 // (one incRC and one decRC per operation on both sides). The owned side
-// saves the holder-side shard lock and state re-check, not the
-// target-side atomics.
+// saves the holder-side registry lock and state re-check, not the
+// target-side atomics: after the first, its stores never fill a nil
+// slot, so they never take the registry lock.
 func ownSetRefShared(a *rcgo.Arena, _ *rcgo.Region, iters int) error {
 	tr := a.NewRegion()
 	t0, t1 := rcgo.Alloc[abNode](tr), rcgo.Alloc[abNode](tr)

@@ -527,6 +527,52 @@ func TestOwnerWatchdogFlagsAndRevokes(t *testing.T) {
 	}
 }
 
+// A revoked token's counted slots are in its region's registry, so the
+// revocation leaks no reference: the audit stays clean, a shared delete
+// of the holder region returns the target's rc to its baseline, and the
+// target then deletes.
+func TestRevokedTokenCountedSlotsReleased(t *testing.T) {
+	a := NewArena()
+	target := a.NewRegion()
+	to := Alloc[auditNode](target)
+	baseline := target.RC()
+	hr := a.NewRegion()
+	own := hr.Acquire()
+	h := AllocOwned[auditNode](own)
+	if err := SetRefOwned(own, h, &h.Value.Next, to); err != nil {
+		t.Fatal(err)
+	}
+	if got := target.RC(); got != baseline+1 {
+		t.Fatalf("target rc = %d after the owned store, want %d", got, baseline+1)
+	}
+
+	wd := NewOwnerWatchdog(a, time.Hour)
+	wd.ForceReleaseAfter = 2 * time.Hour
+	clock := time.Now().Add(3 * time.Hour)
+	wd.now = func() time.Time { return clock }
+	if stale := wd.Check(); len(stale) != 1 || !stale[0].Revoked {
+		t.Fatalf("Check = %+v, want region %d revoked", stale, hr.ID())
+	}
+	if hr.Owned() {
+		t.Fatal("region still owned after the revocation")
+	}
+	if rep := a.Audit(); !rep.OK {
+		t.Fatalf("audit after the revocation: %s", rep)
+	}
+	if err := hr.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if got := target.RC(); got != baseline {
+		t.Fatalf("target rc = %d after the holder's delete, want its baseline %d", got, baseline)
+	}
+	if err := target.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := a.Audit(); !rep.OK {
+		t.Fatalf("audit after the deletes: %s", rep)
+	}
+}
+
 // The watchdog follows releases: a legitimately released region is
 // not flagged, a released-and-reacquired region starts a fresh clock,
 // and Start/Stop run the revocation loop end to end.

@@ -448,7 +448,7 @@ func (r *Region) drain(force bool) bool {
 	if r.state.Load() == stateZombie && r.rc.Load() == 0 && r.children.Load() == 0 {
 		r.state.Store(stateDead)
 		r.mu.Unlock()
-		r.reclaim(nil)
+		r.reclaim()
 		return true
 	}
 	r.mu.Unlock()
@@ -537,7 +537,7 @@ func (r *Region) Delete() error {
 	r.state.Store(stateDead)
 	r.mu.Unlock()
 	r.note(TraceRegionDeleted, 1)
-	r.reclaim(nil)
+	r.reclaim()
 	return nil
 }
 
@@ -570,7 +570,7 @@ func (r *Region) DeleteDeferred() {
 		r.state.Store(stateDead)
 		r.mu.Unlock()
 		r.note(TraceRegionDeleted, 1)
-		r.reclaim(nil)
+		r.reclaim()
 		return
 	}
 	r.state.Store(stateZombie)
@@ -587,9 +587,7 @@ func (r *Region) DeleteDeferred() {
 // the (exactly-once) transition to stateDead, so no new objects, slots
 // or references can appear; concurrent stores that raced past the state
 // check finished under the registry lock before the drain takes it.
-// parked are the counted slots of the deleting owner's token (nil on
-// every shared path): the unscan releases them with the registry's.
-func (r *Region) reclaim(parked []*unsafe.Pointer) {
+func (r *Region) reclaim() {
 	// The region's objects need no accounting here: a dead region reads
 	// 0 objects whatever its counter holds (Region.Objects), and the
 	// arena total sums only the regions still registered.
@@ -598,18 +596,13 @@ func (r *Region) reclaim(parked []*unsafe.Pointer) {
 	// the targets' counts drop (and deferred deletions may cascade), the
 	// registry's slice swapped out under its lock and released in place.
 	// Releases run outside the lock: a release can reclaim its target,
-	// which takes that region's locks in turn. Then the slots an owner
-	// parked on its token (Owner.Delete), which never entered the
-	// registry.
+	// which takes that region's locks in turn.
 	g := &r.slots
 	g.mu.Lock()
 	slots := g.list
 	g.list = nil
 	g.mu.Unlock()
 	for _, w := range slots {
-		releaseSlot(w, r)
-	}
-	for _, w := range parked {
 		releaseSlot(w, r)
 	}
 	// Clear the inline array. The released slice is either a prefix of

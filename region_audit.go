@@ -23,16 +23,6 @@ import (
 // slightly different instants, so in-flight operations can surface
 // as transient rc-accounting or total mismatches; a live report is
 // advisory, a quiesced report is ground truth.
-//
-// Exclusive ownership (region_owner.go) narrows the contract in one
-// place: while a region is owned, counted slots its owner registered
-// through the token are parked on the token and invisible to the
-// inbound scan, though each one's external target already carries the
-// committed rc unit — so the auditor suppresses the rc-accounting rule
-// entirely while any region is owned (sampled at scan start and again
-// at check time), and the rule becomes exact again once every token is
-// released (the chaos ownership phase audits after quiesce, when
-// Acquires == Releases). Everything else stays exact.
 
 // Audit rule names, one per invariant class. Tabled in DESIGN.md §10,
 // whose rule table cmd/docscheck holds to exactly these values.
@@ -164,14 +154,6 @@ func (a *Arena) Audit() AuditReport {
 	a.EachRegion(func(r *Region) { regions = append(regions, r) })
 	rep.RegionsScanned = len(regions)
 
-	// While any region is owned, counted slots parked on its Owner token
-	// are invisible to the inbound scan below even though their targets'
-	// rc units are committed, so the rc-accounting rule would report
-	// structural undercounts that are not violations. Sample here and
-	// again at check time; either sample nonzero suppresses the rule
-	// (see the file comment — every other rule stays exact).
-	ownedSomewhere := a.OwnedRegions() != 0
-
 	// Pass 1: the slot registries. inbound[target] counts registered
 	// external counted slots pointing at target; each such slot holds
 	// exactly one committed rc unit on its target.
@@ -240,8 +222,7 @@ func (a *Arena) Audit() AuditReport {
 		if st.Pins > st.RC {
 			add(AuditPinsExceedRC, r.id, st.Pins, st.RC, "pins %d > rc %d", st.Pins, st.RC)
 		}
-		if want := st.Pins + inbound[r]; st.RC != want &&
-			!ownedSomewhere && a.OwnedRegions() == 0 {
+		if want := st.Pins + inbound[r]; st.RC != want {
 			add(AuditRCAccounting, r.id, st.RC, want,
 				"rc %d != pins %d + inbound slots %d", st.RC, st.Pins, inbound[r])
 		}

@@ -48,6 +48,87 @@ func TestAuditCleanArena(t *testing.T) {
 	}
 }
 
+// Ownership opens no blind spot: the counted slots a token's stores
+// fill are in its region's registry, so while the token is held the
+// audit counts them, rc-accounting still catches a stray rc unit in
+// another region, and the blocked-deleters report names the owned
+// region as the holder of a zombie it pins.
+func TestAuditExactWhileOwned(t *testing.T) {
+	const owned = 3
+	a := NewArena()
+	target := a.NewRegion()
+	to := Alloc[auditNode](target)
+	zombie := a.NewRegion()
+	zo := Alloc[auditNode](zombie)
+	hr := a.NewRegion()
+	own := hr.Acquire()
+	defer func() {
+		if hr.Owned() {
+			own.Release()
+		}
+	}()
+	for i := 0; i < owned; i++ {
+		h := AllocOwned[auditNode](own)
+		if err := SetRefOwned(own, h, &h.Value.Next, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// (a) The token's slots are scanned and account for the target's rc.
+	rep := a.Audit()
+	if !rep.OK {
+		t.Fatalf("audit while owned: %s", rep)
+	}
+	if rep.SlotsScanned != owned {
+		t.Fatalf("SlotsScanned = %d while owned, want the token's %d", rep.SlotsScanned, owned)
+	}
+
+	// (b) A stray rc unit is reported while the token is still held.
+	other := a.NewRegion()
+	other.rc.Add(1)
+	rep = a.Audit()
+	found := false
+	for _, v := range rep.Violations {
+		found = found || v.Rule == AuditRCAccounting && v.Region == other.ID()
+	}
+	if !found {
+		t.Fatalf("audit while owned missed the stray rc unit in region %d: %s", other.ID(), rep)
+	}
+	other.rc.Add(-1)
+
+	// (c) An owned region that pins a zombie is named as its holder.
+	h := AllocOwned[auditNode](own)
+	if err := SetRefOwned(own, h, &h.Value.Next, zo); err != nil {
+		t.Fatal(err)
+	}
+	zombie.DeleteDeferred()
+	blocked := a.BlockedDeleters()
+	if len(blocked) != 1 || blocked[0].ID != zombie.ID() ||
+		len(blocked[0].Holders) != 1 || blocked[0].Holders[0] != (BlockedHolder{HolderRegion: hr.ID(), Slots: 1}) ||
+		blocked[0].Unaccounted != 0 {
+		t.Fatalf("BlockedDeleters = %+v, want zombie %d held by owned region %d through 1 slot",
+			blocked, zombie.ID(), hr.ID())
+	}
+	if rep := a.Audit(); !rep.OK {
+		t.Fatalf("audit with an owned holder of a zombie: %s", rep)
+	}
+
+	// The owner's delete releases every slot: the zombie drains and the
+	// target's rc returns to 0.
+	if err := own.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if !zombie.Stats().Reclaimed {
+		t.Fatal("zombie not reclaimed after its owned holder's delete")
+	}
+	if got := target.RC(); got != 0 {
+		t.Fatalf("target rc = %d after the holder's delete, want 0", got)
+	}
+	if rep := a.Audit(); !rep.OK {
+		t.Fatalf("audit after the delete: %s", rep)
+	}
+}
+
 // Each corruption test damages one piece of bookkeeping directly (the
 // auditor exists to catch runtime bugs, so the tests play the bug) and
 // requires the matching rule to fire.

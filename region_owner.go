@@ -7,19 +7,21 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Exclusive region ownership (DESIGN.md §14): the regions-as-locks idea
 // of Gerakios et al. ported onto the concurrent runtime. A goroutine
 // that holds a region's Owner token has exclusive mutation rights to
 // it, and the owned operations (AllocOwned, SetRefOwned, SetSameOwned,
-// SetTradOwned, SetParentOwned) exploit that exclusivity: bookkeeping
-// that the shared paths maintain with atomics and shard locks is kept
-// in plain owner-local fields on the token and flushed to the shared
-// counters at Release. The common pipeline pattern — build a region on
-// one goroutine, hand it through a channel, let the consumer delete it
-// — pays near-zero synchronization per operation.
+// SetTradOwned, SetParentOwned) exploit that exclusivity: the object
+// count and the metric deltas that the shared paths maintain with
+// atomics are kept in plain owner-local fields on the token and flushed
+// to the shared counters at Release. Counted slots are not: an owned
+// store registers a slot it fills in the region's own registry, like a
+// shared one, so the registry stays the one record of them. The common
+// pipeline pattern — build a region on one goroutine, hand it through a
+// channel, let the consumer delete it — pays near-zero synchronization
+// per operation.
 //
 // The owned-state machine. Acquire transitions a region stateAlive →
 // stateOwned under the lifecycle mutex; Release transitions it back.
@@ -66,17 +68,17 @@ import (
 //     touch the region's slots, and the barrier's lock/unlock pair
 //     gives the acquiring goroutine a happens-before edge over every
 //     prior registration. The owner decides whether a store registers
-//     its slot from the value its own Swap returns, so there is no slot
-//     bookkeeping besides the slot word for it to read plainly.
+//     its slot from the value its own Swap returns, and registers it
+//     under the same registry lock the shared stores take.
 //  2. Concurrent readers while owned. Stats/Audit/Hierarchy read only
 //     atomics (or take mu, which the owner's fast paths never hold), so
-//     the owner keeps its *new* state in plain fields those readers
-//     never touch: object-count and metric deltas live on the token,
-//     newly counted slots are parked on the token instead of the shared
-//     registry. The one shared word the owner still writes per store is
-//     the slot's atomic target word — debug scans (slotTarget) and
-//     the delete-time unscan read it concurrently, and an atomic store
-//     on x86/arm64 costs the same as a plain one, so nothing is lost.
+//     the owner keeps its *new* counts in plain fields those readers
+//     never touch: object-count and metric deltas live on the token.
+//     What the owner shares with them it writes atomically or under a
+//     lock: each store's slot word is atomic (debug scans read it
+//     through slotTarget), and a slot it registers goes into the
+//     registry under the registry lock, which the auditor and the
+//     blocked-deleters report take to snapshot it.
 //  3. Token transfer between goroutines. The token is not itself
 //     synchronized: it must be used by one goroutine at a time, and
 //     handing it to another goroutine must happen through a
@@ -92,14 +94,12 @@ import (
 //     the region to stateAlive, so hazard 3's "later shared-path
 //     operation observes stateAlive" edge never forms — the successor
 //     needs its own publication edge over the old owner's plain writes
-//     (the flushed counters, the slot registrations merged under the
-//     registry lock, the token's plain slot list). That
-//     edge is the hand-off channel itself: the old owner flushes under
-//     r.mu, releases the mutex, and only then sends the successor
-//     token on the waiter's buffered channel, so every owner-local
-//     write (and the flush that merged it) is sequenced before the
-//     send, and the receive in AcquireContext happens-before every
-//     owned operation the successor performs. The successor also skips
+//     (the flushed counters). That edge is the hand-off channel itself:
+//     the old owner flushes under r.mu, releases the mutex, and only
+//     then sends the successor token on the waiter's buffered channel,
+//     so every owner-local write (and the flush that merged it) is
+//     sequenced before the send, and the receive in AcquireContext
+//     happens-before every owned operation the successor performs. The successor also skips
 //     the Acquire barrier: the region never left stateOwned, so no
 //     shared-path store can have slipped in for the barrier to wait
 //     out — the hand-off inherits the old owner's barrier.
@@ -113,14 +113,11 @@ import (
 // worker-counted successes exactly. While a token is outstanding its
 // unflushed deltas are invisible to Stats/Audit (the arena totals sum
 // the regions' own counters, so they miss them equally and stay
-// consistent); the audit's rc-accounting rule is advisory while any
-// region is owned, because counted slots created through a token are
-// merged into the scanned registry only at Release. Owner.Delete never
-// merges them: a successful delete hands the parked slots straight to
-// the delete-time unscan (reclaim), which releases them after the
-// registry's slots, and a delete that fails ErrRegionInUse leaves them
-// parked on the still-valid token for a later Release or Delete. Either
-// way each parked slot is released exactly once.
+// consistent). Its counted slots are not deltas: they are in the
+// registry from the store on, so the audit's rc-accounting rule and the
+// blocked-deleters report see them while the region is owned, and the
+// delete-time unscan releases them like any other slot, whichever way
+// the region dies.
 //
 // The flush window carries the rcgo/own.release failpoint: an injected
 // error is a transient release failure observed before anything is
@@ -202,12 +199,6 @@ type Owner struct {
 	objs int64
 	// m is the owner-local metric deltas.
 	m ownerCounters
-	// slots are the counted slots owned stores filled from nil, parked
-	// on the token (compacted like the registry, appendSlot): merged
-	// into the shared registry at Release, released by the unscan at a
-	// successful Owner.Delete (never merged), and kept here across a
-	// Delete that fails.
-	slots []*unsafe.Pointer
 	// revoked is set (exactly once, under r.mu) by the OwnerWatchdog's
 	// forced release; every owned operation checks it first and fails
 	// with ErrOwnerRevoked. It is the one atomic on the token — an
@@ -490,10 +481,8 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 }
 
 // flushLocked merges the token's owner-local counters into the region's
-// shared bookkeeping; its parked slots are left to the caller (Release
-// merges them into the registry, Owner.Delete hands them to the
-// unscan). Caller holds r.mu and the region is stateOwned (stable under
-// mu). Flushing is idempotent-by-zeroing: the token's deltas are reset
+// shared bookkeeping. Caller holds r.mu and the region is stateOwned
+// (stable under mu). Flushing is idempotent-by-zeroing: the token's deltas are reset
 // so a Delete that fails ErrRegionInUse after flushing leaves a
 // still-valid token with nothing double-counted.
 func (o *Owner) flushLocked(r *Region) {
@@ -510,22 +499,6 @@ func (o *Owner) flushLocked(r *Region) {
 		o.objs = 0
 	}
 	o.m = ownerCounters{}
-}
-
-// mergeSlotsLocked moves the token's parked slots into the region's
-// shared registry, where the shared paths' unscan and the auditor find
-// them. Caller holds r.mu and the region is stateOwned.
-func (o *Owner) mergeSlotsLocked(r *Region) {
-	if len(o.slots) == 0 {
-		return
-	}
-	g := &r.slots
-	g.mu.Lock()
-	for _, w := range o.slots {
-		g.add(w)
-	}
-	g.mu.Unlock()
-	o.slots = nil
 }
 
 // Release returns the region to the shared state — or hands it straight
@@ -560,7 +533,6 @@ func (o *Owner) Release() error {
 		return fmt.Errorf("%w: release of region %d", err, r.id)
 	}
 	o.flushLocked(r)
-	o.mergeSlotsLocked(r)
 	w, next := r.handOffLocked()
 	r.mu.Unlock()
 	o.r = nil
@@ -579,11 +551,10 @@ func (o *Owner) Release() error {
 // Release/Delete round trip through the shared state. Like Delete it
 // fails with ErrRegionInUse while pre-existing external references or
 // subregions remain; the region then STAYS owned and the token stays
-// valid (the flush that already happened is just an early flush), its
-// parked counted slots still on it. An injected rcgo/own.release error
-// behaves as in Release. On success the token is consumed, and its
-// parked slots go to the delete-time unscan without passing through
-// the shared registry.
+// valid (the flush that already happened is just an early flush). An
+// injected rcgo/own.release error behaves as in Release. On success the
+// token is consumed, and the delete-time unscan releases the region's
+// counted slots, the owner's among them.
 func (o *Owner) Delete() error {
 	r := o.r
 	if r == nil {
@@ -622,8 +593,6 @@ func (o *Owner) Delete() error {
 	// they were queueing for no longer exists.
 	waiters := r.waitq
 	r.waitq = nil
-	parked := o.slots
-	o.slots = nil
 	r.owner.Store(nil)
 	r.state.Store(stateDead)
 	r.mu.Unlock()
@@ -634,7 +603,7 @@ func (o *Owner) Delete() error {
 		w.ready <- handoff{err: fmt.Errorf("%w: region %d deleted while waiting to acquire",
 			ErrRegionDeleted, r.id)}
 	}
-	r.reclaim(parked)
+	r.reclaim()
 	return nil
 }
 
@@ -647,12 +616,13 @@ func (o *Owner) Delete() error {
 // the token's one atomic and swaps the region's owner pointer under mu.
 // The cost of discarding: owned allocations and metric deltas made
 // through the condemned token vanish from the counters (the region's
-// object counter is the only count, so no total disagrees with it), and
-// any rc units held by parked SetRefOwned slots are leaked. That is the
-// documented price of tearing a token out of a crashed goroutine's
-// hands; a still-running owner that mutates through the token after
-// revocation is a data race, the same contract as using a token from
-// two goroutines.
+// object counter is the only count, so no total disagrees with it).
+// Nothing else is lost: the token's SetRefOwned slots are in the
+// region's registry, so the region's delete still releases their rc
+// units. That is the documented price of tearing a token out of a
+// crashed goroutine's hands; a still-running owner that mutates through
+// the token after revocation is a data race, the same contract as using
+// a token from two goroutines.
 //
 // Returns false when expect no longer holds the region — a legitimate
 // Release (or Owner.Delete) won the race, and nothing happens.
@@ -766,8 +736,8 @@ func tokenError[H any](o *Owner, holder *Obj[H], f StoreFlavour) error {
 
 // SetRefOwned is the owned-path counted store: holder.slot = target
 // where holder lives in the token's region. The holder-side cost
-// collapses — no shard lock, no settled() check, registration
-// bookkeeping is a plain append on the token — while the target-side
+// collapses — no settled() check, and the registry lock is taken only
+// when the store fills a nil slot, to register it — while the target-side
 // protocol is unchanged: an external target still pays the atomic
 // increment-then-validate (incRC) on its own region, because that
 // region is shared and its delete races must stay linearizable. A

@@ -28,8 +28,8 @@ import (
 //
 //  1. Admission: only pointer-free payload types are slab-backed.
 //     chunkSlabEligible walks T with reflect once per instantiation;
-//     any type containing a Go pointer (Ref fields included — a Ref
-//     holds an atomic.Pointer) takes the ordinary GC-heap chunk path
+//     any type containing a Go pointer (Ref fields included — a Ref's
+//     one word is an unsafe.Pointer) takes the ordinary GC-heap chunk path
 //     unchanged. So the only pointer living in slab memory is the Obj
 //     header's region back-pointer, which the arena's registry keeps
 //     alive until reclaim — GC never needs to see it.

@@ -48,49 +48,40 @@ const slotInline = 16
 // non-nil counted slot is listed, and a slot that goes non-nil, nil and
 // non-nil again is listed twice. Duplicates are harmless where slots
 // are released (the second swap finds nil) and deduped where they are
-// counted (snapshot); appendSlot's compaction drops them.
+// counted (snapshot); add's compaction drops them. Owned stores
+// (SetRefOwned) register here too, so the registry lists every counted
+// slot the region holds.
 type slotRegistry struct {
 	mu     sync.Mutex
 	list   []*unsafe.Pointer
 	inline [slotInline]*unsafe.Pointer
 }
 
-// add registers one counted slot. Caller holds g.mu.
+// add registers one counted slot. Caller holds g.mu. A full list is
+// first compacted: the entries whose slot is now nil go, and so do
+// earlier entries of w itself, which is being listed again. If that
+// frees fewer than half the entries the list also grows as append would
+// have grown the full list (2× while small, about 1.25× past 256
+// entries), so each compaction's scan is paid for by a constant
+// fraction of a list of appends.
 func (g *slotRegistry) add(w *unsafe.Pointer) {
 	if g.list == nil {
 		g.list = g.inline[:0]
 	}
-	g.list = appendSlot(g.list, w)
-}
-
-// appendSlot appends w to a slot list, which starts at slotInline
-// entries. A full list is first compacted: the entries whose slot is
-// now nil go, and so do earlier entries of w itself, which is being
-// listed again. If that frees fewer than half the entries the list
-// also grows as append would have grown the full list (2× while small,
-// about 1.25× past 256 entries), so each compaction's scan is paid for
-// by a constant fraction of a list of appends. The caller serializes
-// every store into the listed slots (the registry lock, or the owner
-// token).
-func appendSlot(list []*unsafe.Pointer, w *unsafe.Pointer) []*unsafe.Pointer {
-	if n := len(list); n == cap(list) {
-		if n == 0 {
-			list = make([]*unsafe.Pointer, 0, slotInline)
-		} else {
-			keep := list[:0]
-			for _, e := range list {
-				if e != w && atomic.LoadPointer(e) != nil {
-					keep = append(keep, e)
-				}
+	if n := len(g.list); n == cap(g.list) {
+		keep := g.list[:0]
+		for _, e := range g.list {
+			if e != w && atomic.LoadPointer(e) != nil {
+				keep = append(keep, e)
 			}
-			clear(list[len(keep):])
-			if len(keep) > n/2 {
-				keep = slices.Grow(keep, n+1-len(keep))
-			}
-			list = keep
 		}
+		clear(g.list[len(keep):])
+		if len(keep) > n/2 {
+			keep = slices.Grow(keep, n+1-len(keep))
+		}
+		g.list = keep
 	}
-	return append(list, w)
+	g.list = append(g.list, w)
 }
 
 // snapshot copies the registered slots under the lock, each slot once,
@@ -274,13 +265,16 @@ func store[T any, H any](o *Owner, holder *Obj[H], slot *Ref[T], target *Obj[T],
 				return storeError(err, f, o, hr, tr)
 			}
 		}
-		// A store that fills a nil slot registers it: on the token while
-		// owned (no shared store can race the owner's), in the holder's
-		// registry under its lock otherwise.
+		// A store that fills a nil slot registers it in the holder's
+		// registry. An owned store swaps outside the lock (no shared store
+		// can race the owner's) and takes it only to register.
 		if o != nil {
 			old = slot.swap(target)
 			if target != nil && old == nil {
-				o.slots = appendSlot(o.slots, &slot.target)
+				g := &hr.slots
+				g.mu.Lock()
+				g.add(&slot.target)
+				g.mu.Unlock()
 			}
 		} else {
 			// The failpoint sits in the count-vs-registry window: the
