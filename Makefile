@@ -9,8 +9,21 @@ all: check
 build:
 	$(GO) build ./...
 
+# vet also holds the inline gate: the disarmed checks every hot path
+# pays — the failpoint sites' Eval and Perturb, Region.settled (Use,
+# the store rules), Region.note (every lifecycle event) and
+# Region.checkHolder (the shared store core) — must stay within the
+# compiler's inlining budget, so that a disarmed gate costs one load
+# and a branch, not a call. The check fails when
+# `go build -gcflags=-m . ./internal/failpoint` stops printing
+# `can inline` for any of them.
+INLINE_GATES := '(*Site).Eval' '(*Site).Perturb' '(*Region).settled' '(*Region).note' '(*Region).checkHolder'
 vet:
 	$(GO) vet ./...
+	@inl=$$($(GO) build -gcflags=-m . ./internal/failpoint 2>&1 | sed -n 's/^[^ ]*: can inline //p'); \
+	for f in $(INLINE_GATES); do \
+		printf '%s\n' "$$inl" | grep -qxF "$$f" || { echo "vet: $$f no longer inlines (go build -gcflags=-m . ./internal/failpoint)"; exit 1; }; \
+	done
 
 # Static analysis beyond vet, when the tool is available. The gate must
 # work in hermetic containers that cannot install tools, so a missing
@@ -43,7 +56,7 @@ test-shuffle:
 # Region under the malloc-header line). A test that only passes on a
 # fresh process fails here.
 test-repeat:
-	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Unscan|Registry|Trace|RegionFirst|MallocHeader|CacheLines' .
+	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Recycle|Unscan|Registry|Trace|RegionFirst|MallocHeader|CacheLines' .
 
 # Race-detector pass: the concurrent Go-native runtime stress tests
 # (region_concurrent_test.go) are only meaningful under -race. -short
@@ -95,14 +108,16 @@ advise-smoke:
 # the same pattern matches), of counted stores into one shared
 # holder region (BenchmarkParallelSetRefOneHolder) and of one
 # lcc-shaped owned batch, the one benchmark whose counted stores
-# register through a token (BenchmarkOwnedBatch). One
+# register through a token (BenchmarkOwnedBatch), and of one
+# grobner-shaped region on off-heap slabs, whose exhausted heap chunks
+# reclaim recycles (BenchmarkRegionChurnSlab). One
 # round proves the machinery, not a speedup: BENCH_pr13_ab.json records the real
 # 10-round run. The chaos phases run in chaos-smoke (its own CI job)
 # and, under -race, in the race target's TestChaos.
 ab-smoke:
 	$(GO) run rcgo/cmd/rcbench -json -reps 1 -scale 2 -workloads moss,tile -ab all | $(GO) run rcgo/cmd/benchlint
 	$(GO) run rcgo/examples/pipeline
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc|BenchmarkRegionRequest|BenchmarkParallelSetRefOneHolder|BenchmarkOwnedBatch' -benchtime 100x -cpu 2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelAlloc|BenchmarkRegionRequest|BenchmarkParallelSetRefOneHolder|BenchmarkOwnedBatch|BenchmarkRegionChurnSlab' -benchtime 100x -cpu 2 .
 
 # Documentation anchor gate: every path named in ARCHITECTURE.md's
 # tables must exist on disk, and every "DESIGN.md §N" cross-reference

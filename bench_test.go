@@ -432,6 +432,25 @@ func BenchmarkOwnedBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkRegionChurnSlab builds and deletes one grobner-shaped region
+// per op (churnRegion: 880 SetSame-linked terms, 80 pointer-free
+// coefficients) on an arena with off-heap slabs. The coefficients come
+// out of a slab page and the terms out of heap chunks, which reclaim
+// zeroes and pools for the next region once the count gate passes, so
+// allocs/op is 3 (TestChurnSlabSteadyStateAllocs): the Region, its slab
+// chunk and the ledger's page list.
+func BenchmarkRegionChurnSlab(b *testing.B) {
+	a := NewArena(WithOffHeapSlabs())
+	defer a.CloseBackingStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := churnRegion(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRegionRequestInstrumented is BenchmarkRegionRequest on an
 // arena with metrics and a ring tracer armed: the per-request price of
 // every counter and of the created, deleted and reclaimed events each

@@ -156,7 +156,7 @@ func (r ConcResult) Summary() string {
 			c.Acquires, c.Releases, c.OwnerRevocations, c.OwnerFlushes, c.AcquireWaits, c.AcquireTimeouts, c.AcquireCancels)
 	}
 	if c.SlabRefills > 0 {
-		fmt.Fprintf(&b, ", slab refills=%d releases=%d", c.SlabRefills, c.SlabReleases)
+		fmt.Fprintf(&b, ", slab refills=%d releases=%d, chunks recycled=%d", c.SlabRefills, c.SlabReleases, c.ChunksRecycled)
 	}
 	fmt.Fprintf(&b, ", watchdog flagged=%d healed=%d, swept=%d, trace total=%d dropped=%d, audit violations=%d",
 		r.WatchdogFlagged, r.WatchdogHealed, r.SweptAtQuiesce, r.TraceStats.Total, r.TraceStats.Dropped,
@@ -1157,6 +1157,58 @@ type slabRec struct {
 	Pad      [4]int64
 }
 
+// slabLink is the slab phase's pointer-carrying payload: its Ref keeps
+// it on GC-heap chunks, and a private burst links enough of them to
+// exhaust a chunk, so reclaim's count gate recycles exhausted chunks
+// into later bursts. Sum is a checksum of the worker and the position.
+type slabLink struct {
+	Seq, Sum int64
+	Next     rcgo.Ref[slabLink]
+}
+
+// slabLinkSum is the checksum a burst writes into its i-th node.
+func slabLinkSum(wid, i int) int64 { return int64(wid)<<32 ^ int64(i)*0x9E3779B9 }
+
+// slabLinkBurst fills a private region with a SetSame-linked list of
+// slabLinks spanning at least one heap chunk, checking that every
+// fresh node reads zero (a recycled chunk must come back zeroed) and
+// that the finished list reads back every checksum (a chunk recycled
+// under a live region shows up as a corrupted node).
+func slabLinkBurst(e *env, r *rcgo.Region, wid int, rng *rand.Rand) bool {
+	n := 256 + rng.Intn(300)
+	var prev *rcgo.Obj[slabLink]
+	for i := 0; i < n; i++ {
+		o, err := rcgo.TryAlloc[slabLink](r)
+		if err != nil {
+			if !e.check("slab link alloc", err) {
+				return false
+			}
+			continue
+		}
+		e.allocs.Add(1)
+		if o.Value.Seq != 0 || o.Value.Sum != 0 || o.Value.Next.Get() != nil {
+			e.fail(fmt.Errorf("slab link: a fresh node reads seq=%d sum=%d next=%p, want zero",
+				o.Value.Seq, o.Value.Sum, o.Value.Next.Get()))
+			return false
+		}
+		o.Value.Seq, o.Value.Sum = int64(i), slabLinkSum(wid, i)
+		if prev != nil {
+			if err := rcgo.SetSame(o, &o.Value.Next, prev); err != nil {
+				e.fail(fmt.Errorf("slab link store: %w", err))
+				return false
+			}
+		}
+		prev = o
+	}
+	for o := prev; o != nil; o = o.Value.Next.Get() {
+		if v := o.Use(); v.Sum != slabLinkSum(wid, int(v.Seq)) {
+			e.fail(fmt.Errorf("slab link corrupted: seq=%d sum=%#x, want %#x", v.Seq, v.Sum, slabLinkSum(wid, int(v.Seq))))
+			return false
+		}
+	}
+	return true
+}
+
 // slabSetup is the off-heap slab phase: a rcgo.WithOffHeapSlabs arena
 // whose workers churn regions full of pointer-free payloads (slab-
 // backed chunks) interleaved with pointer-carrying node payloads
@@ -1174,38 +1226,48 @@ type slabRec struct {
 // slab-pages-total and slab-store-accounting rules), and the phase's
 // own store checks — zero in-use pages left in the store (every page
 // carved for a region came back at its reclaim), at least one
-// slab-backed chunk, and an idempotent close.
+// slab-backed chunk, at least one exhausted heap chunk recycled by a
+// private slabLink burst's reclaim (ChunksRecycled), and an idempotent
+// close.
 func slabSetup(e *env) phaseRun {
 	a := e.a
 	shared := newSharedRegions(a)
 	work := func(wid int, rng *rand.Rand) {
 		for i := 0; i < e.ops; i++ {
-			switch rng.Intn(4) {
+			switch op := rng.Intn(4); op {
 			case 0, 1:
 				// Private region burst: this worker is the region's only
 				// user, so plain Value writes are sanctioned until its own
-				// delete below. The burst spans chunk boundaries, and the
-				// checksum verifies the slab pages were not recycled early.
+				// delete below. A slabRec burst's checksum verifies the
+				// slab pages were not recycled early; a slabLink burst
+				// spans heap chunk boundaries, so its reclaim recycles
+				// the chunks it exhausted into later bursts.
 				r := a.NewRegion()
-				burst := 8 + rng.Intn(24)
-				objs := make([]*rcgo.Obj[slabRec], 0, burst)
-				for n := 0; n < burst; n++ {
-					o, err := rcgo.TryAlloc[slabRec](r)
-					if err != nil {
-						if !e.check("slab private alloc", err) {
+				if op == 1 {
+					if !slabLinkBurst(e, r, wid, rng) {
+						return
+					}
+				} else {
+					burst := 8 + rng.Intn(24)
+					objs := make([]*rcgo.Obj[slabRec], 0, burst)
+					for n := 0; n < burst; n++ {
+						o, err := rcgo.TryAlloc[slabRec](r)
+						if err != nil {
+							if !e.check("slab private alloc", err) {
+								return
+							}
+							continue
+						}
+						e.allocs.Add(1)
+						o.Value.Seq, o.Value.Tag = int64(len(objs)), int64(wid)
+						objs = append(objs, o)
+					}
+					for n, o := range objs {
+						if o.Value.Seq != int64(n) || o.Value.Tag != int64(wid) {
+							e.fail(fmt.Errorf("slab payload corrupted: seq=%d tag=%d, want seq=%d tag=%d",
+								o.Value.Seq, o.Value.Tag, n, wid))
 							return
 						}
-						continue
-					}
-					e.allocs.Add(1)
-					o.Value.Seq, o.Value.Tag = int64(len(objs)), int64(wid)
-					objs = append(objs, o)
-				}
-				for n, o := range objs {
-					if o.Value.Seq != int64(n) || o.Value.Tag != int64(wid) {
-						e.fail(fmt.Errorf("slab payload corrupted: seq=%d tag=%d, want seq=%d tag=%d",
-							o.Value.Seq, o.Value.Tag, n, wid))
-						return
 					}
 				}
 				if rng.Intn(2) == 0 {
@@ -1274,6 +1336,8 @@ func slabSetup(e *env) phaseRun {
 		case c.SlabRefills <= ss.CarvedPages:
 			return fmt.Errorf("slab phase never recycled a page: %d refills from %d carved pages",
 				c.SlabRefills, ss.CarvedPages)
+		case c.ChunksRecycled == 0:
+			return fmt.Errorf("slab phase never recycled an exhausted heap chunk")
 		}
 		if err := a.CloseBackingStore(); err != nil {
 			return fmt.Errorf("quiesce: close backing store: %w", err)

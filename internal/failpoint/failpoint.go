@@ -186,15 +186,15 @@ func (s *Site) Disable() { s.armed.Store(nil) }
 func (s *Site) Armed() bool { return s.armed.Load() != nil }
 
 // Eval is the call made at the injection point. Disarmed (the steady
-// state) it is one atomic load and a branch. Armed, it decides
-// deterministically whether evaluation n fires and applies the rule's
-// action; only ActionError produces a non-nil result.
+// state) it is one atomic load and a branch, inlined into the caller.
+// Armed, it decides deterministically whether evaluation n fires and
+// applies the rule's action; only ActionError produces a non-nil
+// result.
 func (s *Site) Eval() error {
-	r := s.armed.Load()
-	if r == nil {
+	if s.armed.Load() == nil {
 		return nil
 	}
-	return s.evalSlow(r, true)
+	return s.evalArmed(true)
 }
 
 // Perturb is Eval for call sites that cannot unwind: ActionDelay,
@@ -203,14 +203,19 @@ func (s *Site) Eval() error {
 // edges (DeleteDeferred's dying window) where an error has no channel
 // to the caller.
 func (s *Site) Perturb() {
-	r := s.armed.Load()
-	if r == nil {
-		return
+	if s.armed.Load() != nil {
+		s.evalArmed(false)
 	}
-	s.evalSlow(r, false)
 }
 
-func (s *Site) evalSlow(r *rule, canErr bool) error {
+// evalArmed is the armed body of Eval and Perturb, kept out of line so
+// their disarmed check inlines. It reloads the rule: a Disable racing
+// in between leaves nothing to apply.
+func (s *Site) evalArmed(canErr bool) error {
+	r := s.armed.Load()
+	if r == nil {
+		return nil
+	}
 	s.evals.Add(1)
 	if n := r.n.Add(1); r.Den > 1 && splitmix64(r.seed, n)%r.Den >= r.Num {
 		return nil

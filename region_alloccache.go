@@ -38,6 +38,15 @@ import (
 //     reachable. Before reclaim pools a parked chunk it cuts every link
 //     from the dead region's objects in it to other chunks, so a pooled
 //     chunk retains no earlier, exhausted chunk (DESIGN.md §11).
+//   - Exhausted-chunk recycling, on arenas with a backing store only
+//     (the arenas that already accept DESIGN.md §16's stale-handle
+//     contract). A region lists the heap chunks it exhausts, and
+//     reclaim zeroes them and returns them to their pools once a count
+//     gate proves that no header write into them is still in flight:
+//     the region's gross object counter, read first, must equal the
+//     claims handed out on its listed, parked and slab chunks
+//     (DESIGN.md §11). The gate adds nothing to the allocation path;
+//     default arenas leave exhausted chunks to the collector.
 //
 // The GC-heap chunk-refill edge, taken on every park miss, carries the
 // rcgo/alloc.refill failpoint: an injected error is a transient
@@ -143,22 +152,31 @@ type objChunk[T any] struct {
 	// typ is the chunk's per-type descriptor, so release needs no map
 	// lookup.
 	typ *chunkType
-	// base is the cursor when the current region took the chunk: the
-	// headers in [base, next) are the parking region's. Written by the
-	// one goroutine that holds the chunk between pool and park.
+	// base is the cursor when the chunk last entered its pool (0 for a
+	// fresh or recycled chunk): the headers in [base, next) are the
+	// parking region's, plus any claim a stale allocator of an earlier
+	// region made after that point. Written before the pool Put, read
+	// after a pool Get.
 	base int64
 	// shared marks a chunk displaced from a live region's park. An
 	// allocator of that region that loaded the chunk before the
 	// displacement may claim from it at any later time, so a later
 	// region's [base, next) may hold a live object, and the chunk is
-	// never scrubbed. Set before the pool Put, read after a pool Get.
+	// never scrubbed or recycled. Set before the pool Put, read after a
+	// pool Get.
 	shared bool
+	// clean records that every claim below base has landed its header
+	// write, so the chunk may be zeroed and reset once its current
+	// region's claims are proven landed too (Region.reclaimChunks). Set
+	// at make and by a recycle; it survives a pooled park only when
+	// that region's count gate passed.
+	clean bool
 	// box is this chunk's type-erased parking wrapper, built once at
 	// creation so parking allocates nothing.
 	box chunkBox
 	// slab marks a chunk carved from the arena's backing store
 	// (region_slab.go): buf points into an off-heap page owned by the
-	// region's slab page list, the chunk never enters a sync.Pool, and
+	// region's ledger (chunkLedger), the chunk never enters a sync.Pool, and
 	// claimers publish through the claimed counter below.
 	slab bool
 	// claimed is the slab writer gate: a claimer increments it after its
@@ -169,35 +187,76 @@ type objChunk[T any] struct {
 	claimed atomic.Int64
 }
 
-// release returns a chunk to its pool: one displaced from a live
-// region's park (marked shared), or a parked one at reclaim of its
-// region, scrubbed first unless shared. Slab chunks are region-owned,
-// not pooled: their storage is freed by reclaim's page return, so
-// displacement just drops the reference (the region's page list still
-// holds the chunk).
-func (ch *objChunk[T]) release(displaced bool) {
+// release returns a chunk displaced from a live region's park to its
+// pool, marked shared. Slab chunks are region-owned, not pooled: their
+// storage is freed by reclaim's page return, so displacement just drops
+// the reference (the region's ledger still holds the chunk).
+func (ch *objChunk[T]) release() {
 	if ch.slab {
 		return
 	}
-	if displaced {
-		ch.shared = true
-	} else if !ch.shared {
-		ch.scrub()
-	}
+	ch.shared = true
+	ch.base = ch.next.Load()
 	ch.typ.pool.Put(ch)
 }
 
+// unpark is reclaim's first half for a chunk taken out of the dead
+// region's park: it reads the cursor once, scrubs the dead region's
+// headers below it unless the chunk is shared, rebases the chunk at
+// that cursor and returns how many claims [base, cursor) handed out,
+// for the count gate. 0 for a slab chunk, whose claims quiesce counts.
+func (ch *objChunk[T]) unpark() int64 {
+	if ch.slab {
+		return 0
+	}
+	end := ch.next.Load()
+	n := min(end, int64(len(ch.buf))) - ch.base
+	if !ch.shared {
+		ch.scrub(end)
+	}
+	ch.base = end
+	return n
+}
+
+// repool is unpark's second half: the chunk goes back to its pool,
+// still clean only if the dead region's gate proved its claims landed.
+func (ch *objChunk[T]) repool(settled bool) {
+	if ch.slab {
+		return
+	}
+	ch.clean = ch.clean && settled
+	ch.typ.pool.Put(ch)
+}
+
+// claims counts the headers handed out on an exhausted chunk since
+// its base, for the count gate.
+func (ch *objChunk[T]) claims() int64 { return int64(len(ch.buf)) - ch.base }
+
+// recycle zeroes an exhausted chunk whose every claim has landed and
+// returns it to its pool as good as new, reporting whether it did. A
+// shared or unclean chunk is left to the collector.
+func (ch *objChunk[T]) recycle() bool {
+	if ch.shared || !ch.clean {
+		return false
+	}
+	clear(ch.buf)
+	ch.base = 0
+	ch.next.Store(0)
+	ch.typ.pool.Put(ch)
+	return true
+}
+
 // scrub cuts a dead region's links out of its chunk before the chunk is
-// pooled: for each of the region's headers [base, min(next, len)) it
+// pooled: for each of the region's headers [base, min(end, len)) it
 // stores nil into every Ref word whose target lies outside this chunk.
 // A link inside the chunk retains nothing the pooled chunk does not
 // already hold. The loads and stores are atomic because a racing
 // SetSame that passed its state check, or a blocked-deleters scan, may
 // touch the same word. Counted slots are already nil: reclaim runs the
 // unscan first.
-func (ch *objChunk[T]) scrub() {
+func (ch *objChunk[T]) scrub(end int64) {
 	refs := ch.typ.refs
-	end := min(ch.next.Load(), int64(len(ch.buf)))
+	end = min(end, int64(len(ch.buf)))
 	if len(refs) == 0 || end <= ch.base {
 		return
 	}
@@ -234,10 +293,23 @@ func (ch *objChunk[T]) claim(r *Region) *Obj[T] {
 // chunkBox type-erases a parked chunk: park slots hold *chunkBox (one
 // concrete type for every Obj instantiation), and the claimer
 // type-asserts the payload, releasing chunks of other types back to
-// their own pools.
-type chunkBox struct{ c chunkRef }
+// their own pools. link chains the heap chunks a region exhausted on
+// its retired list (chunkLedger), under the ledger's lock.
+type chunkBox struct {
+	c    chunkRef
+	link *chunkBox
+}
 
-type chunkRef interface{ release(displaced bool) }
+// chunkRef is the type-erased face of an objChunk[T]: displacement
+// (release), reclaim of a parked chunk (unpark, repool) and of a
+// retired one (claims, recycle).
+type chunkRef interface {
+	release()
+	unpark() int64
+	repool(settled bool)
+	claims() int64
+	recycle() bool
+}
 
 // chunkParkSlotBits is log2 of the number of parking slots per region
 // (Region.chunkPark). Slots are picked by object size, so a region
@@ -270,13 +342,18 @@ func chunkParkSlot(size uintptr) int {
 // injected error surfaces before the object is counted, so a refused
 // refill unwinds nothing.
 //
-// Memory trade-off, documented here because it is deliberate: a chunk
-// is garbage only when every object in it is, so one long-lived object
-// can retain up to chunkTargetBytes of chunk-mates — the same batching
-// trade the paper's regions themselves make.
+// Memory trade-off, documented here because it is deliberate: on a
+// default arena a chunk is garbage only when every object in it is, so
+// one long-lived object can retain up to chunkTargetBytes of
+// chunk-mates — the same batching trade the paper's regions themselves
+// make. On an arena with a backing store the region's ledger holds the
+// chunks it exhausted until its reclaim, which recycles them: the
+// region's memory comes back at its delete, as the paper's does.
 func newChunkedObj[T any](r *Region) (*Obj[T], error) {
 	var probe Obj[T]
 	if unsafe.Sizeof(probe) > maxChunkObjBytes {
+		// Counted in objs but on no chunk the region lists.
+		r.forgoRecycle()
 		return &Obj[T]{region: r}, nil
 	}
 	slot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(probe))]
@@ -288,18 +365,25 @@ func newChunkedObj[T any](r *Region) (*Obj[T], error) {
 		c, ok := b.c.(*objChunk[T])
 		if !ok {
 			// Another instantiation is parked here: displace it to its
-			// own pool (never dropped) and refill.
+			// own pool (never dropped) and refill. The region's claims on
+			// it leave its ledger, so its gate is off first.
+			r.forgoRecycle()
 			if slot.CompareAndSwap(b, nil) {
-				b.c.release(true)
+				b.c.release()
 			}
 			break
 		}
 		if o := c.claim(r); o != nil {
 			return o, nil
 		}
-		// Exhausted: retire it so the next allocator refills. The chunk
-		// itself becomes garbage once its objects are.
-		slot.CompareAndSwap(b, nil)
+		// Exhausted: retire it so the next allocator refills. On an
+		// arena with a backing store the region lists it for reclaim to
+		// recycle; otherwise it becomes garbage once its objects are.
+		if c.slab || r.arena.backing == nil {
+			slot.CompareAndSwap(b, nil)
+		} else {
+			r.chunks.retire(slot, b)
+		}
 	}
 	// Slot miss: refill. Pointer-free payload types carve their chunk
 	// out of the arena's backing store when one is attached
@@ -326,14 +410,21 @@ func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chu
 	ch, _ := ct.pool.Get().(*objChunk[T])
 	for {
 		if ch != nil {
-			ch.base = ch.next.Load()
 			if o := ch.claim(r); o != nil {
-				if ch.next.Load() < int64(len(ch.buf)) {
-					// Offer the remainder to the slot; if a racer parked
-					// first, the chunk goes back to the pool instead.
-					if !slot.CompareAndSwap(nil, &ch.box) {
-						ct.pool.Put(ch)
-					}
+				// Offer the remainder to the slot. A claim on a chunk
+				// the region does not park is on no chunk its ledger
+				// sees, so its gate is off: the claim exhausted the
+				// chunk, or a racer parked first and the chunk goes
+				// back to the pool, rebased past this claim. A stale
+				// claimer may sit below the new base, so the chunk is
+				// no longer clean.
+				switch {
+				case ch.next.Load() >= int64(len(ch.buf)):
+					r.forgoRecycle()
+				case !slot.CompareAndSwap(nil, &ch.box):
+					r.forgoRecycle()
+					ch.base, ch.clean = ch.next.Load(), false
+					ct.pool.Put(ch)
 				}
 				return o, nil
 			}
@@ -343,7 +434,100 @@ func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chu
 		if n < 4 {
 			n = 4
 		}
-		ch = &objChunk[T]{buf: make([]Obj[T], n), typ: ct}
+		ch = &objChunk[T]{buf: make([]Obj[T], n), typ: ct, clean: true}
 		ch.box.c = ch
+	}
+}
+
+// forgoRecycle turns r's count gate off for good: a claim counted in
+// r.objs may sit on a chunk r does not list, so equal counts would no
+// longer prove that every listed claim has landed. It is stored before
+// the claim's objs fetch-add (or, for a displacement, before the chunk
+// leaves the park), so a reclaim whose first read of objs counts that
+// claim sees the flag.
+func (r *Region) forgoRecycle() {
+	if !r.noRecycle.Load() {
+		r.noRecycle.Store(true)
+	}
+}
+
+// reclaimChunks returns a dead region's chunks. Parked heap chunks go
+// back to their pools, scrubbed and rebased at their cursors. A default
+// arena does nothing more: its regions list nothing, and an exhausted
+// chunk is garbage once its objects are.
+//
+// On an arena with a backing store, reclaim also recycles the heap
+// chunks the region exhausted, behind the count gate: objs, read first,
+// counts every claim that reached admission, and each of those wrote
+// its header before its fetch-add. The claims the region's listed,
+// parked and slab chunks handed out are summed after it. Each counted
+// claim is one of those (noRecycle is set otherwise), so the sum can
+// equal objs only if every claim on those chunks reached its fetch-add,
+// that is, only if no header write into them is still in flight. Then
+// the exhausted chunks are zeroed and pooled, and the parked ones stay
+// clean; otherwise the exhausted ones are left to the collector, as on
+// a default arena. A region that ever registered a counted slot
+// (registered) recycles nothing either: a scan may still read its slot
+// words through a registry snapshot taken before the unscan. The slab
+// pages go back to the store either way, once their writer gate has
+// drained (region_slab.go).
+func (r *Region) reclaimChunks(registered bool) {
+	if r.arena.backing == nil {
+		for i := range r.chunkPark {
+			if b := r.chunkPark[i].Swap(nil); b != nil {
+				b.c.unpark()
+				b.c.repool(false)
+			}
+		}
+		return
+	}
+	objs := r.objs.Load()
+	var parked [chunkParkSlots]*chunkBox
+	l := &r.chunks
+	l.mu.Lock()
+	l.closed = true
+	pages, retired := l.pages, l.retired
+	l.pages, l.retired = nil, nil
+	for i := range r.chunkPark {
+		parked[i] = r.chunkPark[i].Swap(nil)
+	}
+	l.mu.Unlock()
+	var claims int64
+	for _, b := range parked {
+		if b != nil {
+			claims += b.c.unpark()
+		}
+	}
+	for b := retired; b != nil; b = b.link {
+		claims += b.c.claims()
+	}
+	for _, pg := range pages {
+		claims += pg.chunk.quiesce()
+	}
+	settled := claims == objs && !registered && !r.noRecycle.Load()
+	for _, b := range parked {
+		if b != nil {
+			b.c.repool(settled)
+		}
+	}
+	var recycled int64
+	for b := retired; b != nil; {
+		next := b.link
+		b.link = nil
+		if settled && b.c.recycle() {
+			recycled++
+		}
+		b = next
+	}
+	if recycled > 0 {
+		r.note(TraceChunkRecycled, recycled)
+	}
+	// The paper's reclaim-at-delete, for real: each page is handed back
+	// for immediate reuse, and no GC cycle is involved.
+	if len(pages) > 0 {
+		for _, pg := range pages {
+			r.arena.backing.Free(pg.p, pg.size)
+		}
+		r.note(TraceSlabReleased, int64(len(pages)))
 	}
 }

@@ -243,7 +243,7 @@ func TestDeadRegionReadsZeroObjects(t *testing.T) {
 	if got := r.Stats().Objects; got != 0 {
 		t.Fatalf("Stats().Objects = %d inside a refused admission's window, want 0", got)
 	}
-	r.objs.Add(-1)
+	r.withdrawn.Add(1)
 	for _, got := range []int64{a.LiveObjects(), a.Stats().LiveObjects} {
 		if got != kept {
 			t.Fatalf("arena live objects = %d after the delete, want %d", got, kept)
@@ -533,7 +533,8 @@ func TestScrubSparesDisplacedChunks(t *testing.T) {
 		o.Value.a.swap(far)
 		o.Value.b.swap(near)
 		o.Value.c.swap(far)
-		ch.release(false)
+		ch.unpark()
+		ch.repool(false)
 		if cut := o.Value.a.Get() == nil; cut == shared {
 			t.Errorf("shared=%v: cross-chunk link cut=%v, want %v", shared, cut, !shared)
 		}
@@ -547,4 +548,208 @@ func TestScrubSparesDisplacedChunks(t *testing.T) {
 			t.Errorf("shared=%v: the scrub overwrote the header's region", shared)
 		}
 	}
+}
+
+// recTerm is the recycling tests' own term type, so their chunks come
+// from a pool no other test feeds.
+type recTerm struct {
+	val  int64
+	next Ref[recTerm]
+}
+
+// recHuge is above maxChunkObjBytes: allocated on its own, outside any
+// chunk.
+type recHuge struct{ b [2 * maxChunkObjBytes]byte }
+
+// drainPool empties T's chunk pool, so the next refill makes a fresh,
+// clean chunk at base 0.
+func drainPool[T any]() {
+	for chunkTypeOf[T]().pool.Get() != nil {
+	}
+}
+
+// fillRecTerms allocates one chunk's worth of linked terms and one more
+// through alloc, so the first chunk is exhausted and retired, and
+// returns that chunk and its first object.
+func fillRecTerms(t *testing.T, r *Region, alloc func() (*Obj[recTerm], error)) (*objChunk[recTerm], *Obj[recTerm]) {
+	t.Helper()
+	drainPool[recTerm]()
+	slot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[recTerm]{}))]
+	var first, prev *Obj[recTerm]
+	var ch *objChunk[recTerm]
+	per := chunkTargetBytes / int(unsafe.Sizeof(Obj[recTerm]{}))
+	for i := 0; i <= per; i++ {
+		o, err := alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Value.val = int64(i + 1)
+		if prev == nil {
+			first, ch = o, slot.Load().c.(*objChunk[recTerm])
+		} else {
+			o.Value.next.swap(prev)
+		}
+		prev = o
+	}
+	if ch.next.Load() < int64(len(ch.buf)) || slot.Load() == &ch.box {
+		t.Fatal("the first chunk was not exhausted and retired")
+	}
+	return ch, first
+}
+
+// A recycled chunk comes back as good as new: cursor and base at 0, and
+// every header and value zeroed.
+func TestRecycledChunkZeroed(t *testing.T) {
+	a := NewArena(WithOffHeapSlabs(), WithMetrics())
+	defer a.CloseBackingStore()
+	r := a.NewRegion()
+	ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+	if err := r.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Counters().ChunksRecycled; got != 1 {
+		t.Fatalf("ChunksRecycled = %d, want 1", got)
+	}
+	if ch.next.Load() != 0 || ch.base != 0 || !ch.clean {
+		t.Fatalf("recycled chunk: next=%d base=%d clean=%v, want 0, 0, true", ch.next.Load(), ch.base, ch.clean)
+	}
+	for i := range ch.buf {
+		if o := &ch.buf[i]; o.region != nil || o.Value.val != 0 || o.Value.next.Get() != nil {
+			t.Fatalf("recycled header %d: region=%p val=%d next=%p, want all zero", i, o.region, o.Value.val, o.Value.next.Get())
+		}
+	}
+}
+
+// Each claim the count gate cannot see leaves the region's exhausted
+// chunks to the collector untouched: a type switch in one park slot (the
+// displaced chunk's claims leave the ledger), an oversize Obj (on no
+// chunk at all), and a revoked token that allocated (its claims never
+// reach objs).
+func TestRecycleRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, a *Arena) (*Region, *objChunk[recTerm])
+	}{
+		{"type-switch", func(t *testing.T, a *Arena) (*Region, *objChunk[recTerm]) {
+			r := a.NewRegion()
+			ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+			if chunkParkSlot(unsafe.Sizeof(Obj[recTerm]{})) != chunkParkSlot(unsafe.Sizeof(Obj[cachePayload]{})) {
+				t.Fatal("recTerm and cachePayload no longer share a park slot; pick a colliding pair")
+			}
+			Alloc[cachePayload](r)
+			return r, ch
+		}},
+		{"oversize", func(t *testing.T, a *Arena) (*Region, *objChunk[recTerm]) {
+			r := a.NewRegion()
+			ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+			Alloc[recHuge](r)
+			return r, ch
+		}},
+		{"revoked-token", func(t *testing.T, a *Arena) (*Region, *objChunk[recTerm]) {
+			r := a.NewRegion()
+			own := r.Acquire()
+			ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAllocOwned[recTerm](own) })
+			if !r.revokeOwner(own) {
+				t.Fatal("revocation lost")
+			}
+			return r, ch
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewArena(WithOffHeapSlabs(), WithMetrics())
+			defer a.CloseBackingStore()
+			r, ch := tc.run(t, a)
+			if err := r.Delete(); err != nil {
+				t.Fatal(err)
+			}
+			if got := a.Counters().ChunksRecycled; got != 0 {
+				t.Fatalf("ChunksRecycled = %d, want 0", got)
+			}
+			if ch.next.Load() < int64(len(ch.buf)) || ch.buf[0].region != r || ch.buf[0].Value.val != 1 {
+				t.Fatalf("the exhausted chunk was reset or zeroed: next=%d region=%p val=%d",
+					ch.next.Load(), ch.buf[0].region, ch.buf[0].Value.val)
+			}
+		})
+	}
+}
+
+// Three kinds of TryAlloc leave the object counts exact at quiesce: one
+// refused on an owned region, one refused on a deleted (zombie) region,
+// and one that waited out a dying window and was admitted once the
+// delete failed. Region.Objects, Stats().Objects and LiveObjects all
+// agree with the objects actually admitted.
+func TestRefusedAllocsKeepCountsExact(t *testing.T) {
+	exact := func(t *testing.T, a *Arena, r *Region, want int64) {
+		t.Helper()
+		if got := r.Objects(); got != want {
+			t.Errorf("Objects = %d, want %d", got, want)
+		}
+		if got := r.Stats().Objects; got != want {
+			t.Errorf("Stats().Objects = %d, want %d", got, want)
+		}
+		if got := a.LiveObjects(); got != want {
+			t.Errorf("LiveObjects = %d, want %d", got, want)
+		}
+	}
+	t.Run("owned", func(t *testing.T) {
+		a := NewArena()
+		r := a.NewRegion()
+		Alloc[recTerm](r)
+		Alloc[recTerm](r)
+		own := r.Acquire()
+		if _, err := TryAlloc[recTerm](r); !errors.Is(err, ErrRegionOwned) {
+			t.Fatalf("TryAlloc on an owned region: %v, want ErrRegionOwned", err)
+		}
+		AllocOwned[recTerm](own)
+		if err := own.Release(); err != nil {
+			t.Fatal(err)
+		}
+		exact(t, a, r, 3)
+	})
+	t.Run("deleted", func(t *testing.T) {
+		a := NewArena()
+		r := a.NewRegion()
+		unpin := Pin(Alloc[recTerm](r))
+		Alloc[recTerm](r)
+		r.DeleteDeferred()
+		if _, err := TryAlloc[recTerm](r); !errors.Is(err, ErrRegionDeleted) {
+			t.Fatalf("TryAlloc on a zombie: %v, want ErrRegionDeleted", err)
+		}
+		exact(t, a, r, 2)
+		unpin()
+		exact(t, a, r, 0)
+	})
+	t.Run("dying-window", func(t *testing.T) {
+		defer failpoint.Disable("rcgo/delete.dying")
+		a := NewArena(WithMetrics())
+		r := a.NewRegion()
+		unpin := Pin(Alloc[recTerm](r))
+		defer unpin()
+		done := make(chan error, 1)
+		if err := failpoint.Enable("rcgo/delete.dying", failpoint.Rule{
+			Action: failpoint.ActionHook,
+			Hook: func() {
+				// The delete holds the region dying: start an allocation
+				// and hold the window until it has counted its claim and
+				// is waiting for the decision.
+				go func() { _, err := TryAlloc[recTerm](r); done <- err }()
+				for r.objs.Load() < 2 {
+					runtime.Gosched()
+				}
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Delete(); !errors.Is(err, ErrRegionInUse) {
+			t.Fatalf("Delete under a pin: %v, want ErrRegionInUse", err)
+		}
+		failpoint.Disable("rcgo/delete.dying")
+		if err := <-done; err != nil {
+			t.Fatalf("the allocation that waited out the dying window: %v", err)
+		}
+		exact(t, a, r, 2)
+		if got := a.Counters().Allocs; got != 2 {
+			t.Errorf("Counters().Allocs = %d, want 2", got)
+		}
+	})
 }

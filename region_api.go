@@ -123,12 +123,23 @@ type Region struct {
 
 	// mu serializes lifecycle decisions. The counters stay atomic so the
 	// reference fast paths (incRC/decRC) and stat reads never block on it.
-	mu       sync.Mutex
-	state    atomic.Int32
-	rc       atomic.Int64 // external counted references, including pins
-	pins     atomic.Int64 // the pin subset of rc, for stats
-	children atomic.Int64
-	objs     atomic.Int64
+	mu    sync.Mutex
+	state atomic.Int32
+	// noRecycle turns the dead region's count gate off (reclaimChunks,
+	// region_alloccache.go): set, never cleared, when a claim counted in
+	// objs may sit on a chunk the region does not list.
+	noRecycle atomic.Bool
+	rc        atomic.Int64 // external counted references, including pins
+	pins      atomic.Int64 // the pin subset of rc, for stats
+	children  atomic.Int64
+	// objs counts every claim that reached admission, refused ones
+	// included, and withdrawn the refused ones: the region holds
+	// objs − withdrawn objects (Region.Objects). Each claim writes its
+	// header before its objs fetch-add, so the gross count is what
+	// reclaim's count gate compares with the claims its chunks handed
+	// out.
+	objs      atomic.Int64
+	withdrawn atomic.Int64
 
 	// owner is the region's exclusive-ownership token while stateOwned
 	// (region_owner.go); nil otherwise. Set and cleared under mu at the
@@ -142,11 +153,13 @@ type Region struct {
 	// of the runtime's delete-time unscan.
 	slots slotRegistry
 
-	// slabPages tracks the off-heap store pages this region's slab
-	// chunks are carved from (region_slab.go): carve appends, reclaim
-	// closes the list and returns every page to the store after the
-	// writer gate drains. Unused (and empty) without a backing store.
-	slabPages slabPageList
+	// chunks is the ledger of the chunks reclaim must account for on an
+	// arena with a backing store (region_slab.go): the off-heap pages
+	// this region's slab chunks are carved from, returned to the store
+	// once the writer gate drains, and the heap chunks it exhausted,
+	// recycled once the count gate passes. Unused (and empty) without a
+	// backing store.
+	chunks chunkLedger
 
 	// chunkPark parks this region's partially-used allocation chunks
 	// between allocations (region_alloccache.go): a strong-reference
@@ -297,12 +310,12 @@ func Alloc[T any](r *Region) *Obj[T] {
 // Fast path (region_alloccache.go): the object comes out of a pooled
 // per-type chunk, and admission is the same increment-then-validate
 // protocol incRC uses, on the region's own object counter — count the
-// object, then check the region state. If the check observes stateAlive
-// the allocation is admitted (that load is its linearization point: a
-// delete committing afterwards simply owns the object, exactly as if it
-// had raced a mutex-admitted path); any other settled state withdraws
-// the count and fails. No lock is taken and no arena-shared cache line
-// is touched.
+// object, then check the region state, waiting out a dying window. If
+// the check observes stateAlive the allocation is admitted (that load
+// is its linearization point: a delete committing afterwards simply
+// owns the object, exactly as if it had raced a mutex-admitted path);
+// any other settled state counts the claim as withdrawn and fails. No
+// lock is taken and no arena-shared cache line is touched.
 func TryAlloc[T any](r *Region) (*Obj[T], error) {
 	if err := fpAllocAdmission.Eval(); err != nil {
 		return nil, fmt.Errorf("%w: allocation in region %d", err, r.id)
@@ -311,26 +324,19 @@ func TryAlloc[T any](r *Region) (*Obj[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		r.objs.Add(1)
-		switch r.state.Load() {
-		case stateAlive:
-			if c := r.counters(); c != nil {
-				c.allocs.Add(1)
-			}
-			return o, nil
-		case stateDying:
-			// A delete holds mu and is deciding; it may still fail, so
-			// withdraw the provisional count and re-decide once settled.
-			r.objs.Add(-1)
-			runtime.Gosched()
-		case stateOwned:
-			r.objs.Add(-1)
-			return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionOwned, r.id)
-		default:
-			r.objs.Add(-1)
-			return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionDeleted, r.id)
+	r.objs.Add(1)
+	switch r.settled() {
+	case stateAlive:
+		if c := r.counters(); c != nil {
+			c.allocs.Add(1)
 		}
+		return o, nil
+	case stateOwned:
+		r.withdrawn.Add(1)
+		return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionOwned, r.id)
+	default:
+		r.withdrawn.Add(1)
+		return nil, fmt.Errorf("%w: allocation in region %d", ErrRegionDeleted, r.id)
 	}
 }
 
@@ -355,12 +361,20 @@ func (o *Obj[T]) Use() *T {
 // window during which a concurrent delete holds mu and is deciding (the
 // delete may still fail, so dying must not be reported as deleted).
 func (r *Region) settled() int32 {
+	if s := r.state.Load(); s != stateDying {
+		return s
+	}
+	return r.settleDying()
+}
+
+// settleDying is settled's wait, kept out of line so the settled check
+// inlines.
+func (r *Region) settleDying() int32 {
 	for {
-		s := r.state.Load()
-		if s != stateDying {
+		runtime.Gosched()
+		if s := r.state.Load(); s != stateDying {
 			return s
 		}
-		runtime.Gosched()
 	}
 }
 
@@ -589,8 +603,9 @@ func (r *Region) DeleteDeferred() {
 // check finished under the registry lock before the drain takes it.
 func (r *Region) reclaim() {
 	// The region's objects need no accounting here: a dead region reads
-	// 0 objects whatever its counter holds (Region.Objects), and the
-	// arena total sums only the regions still registered.
+	// 0 objects whatever its counters hold (Region.Objects), and the
+	// arena total sums only the regions still registered. Its gross
+	// counter is read once more, by the count gate in reclaimChunks.
 	//
 	// The delete-time unscan: release the outbound counted references so
 	// the targets' counts drop (and deferred deletions may cascade), the
@@ -612,25 +627,15 @@ func (r *Region) reclaim() {
 	// Obj.region after the chunk is reused, and an entry left here would
 	// keep its slot's chunk alive.
 	clear(g.inline[:])
-	// Return parked allocation chunks to their per-type pools: the park
-	// is a strong reference, and a dead region must not retain chunk
-	// capacity other regions could reuse. Each chunk is scrubbed of the
-	// dead region's cross-chunk links first (objChunk.scrub). That runs
-	// after the unscan, which must see the counted slots to drop their
-	// targets' counts. A chunk an allocator raced out of the park is
-	// already on its way back to the pool or exhausted.
-	for i := range r.chunkPark {
-		if b := r.chunkPark[i].Swap(nil); b != nil {
-			b.c.release(false)
-		}
-	}
-	// Return the region's slab pages to the backing store
-	// (region_slab.go): the paper's reclaim-at-delete, for real — each
-	// page is handed back for immediate reuse once its chunk's writer
-	// gate drains, and no GC cycle is involved. After the unscan, which
-	// reads the header of a same-region counted slot's target, and that
-	// target may live in one of the pages.
-	r.releaseSlabPages()
+	// Return the region's chunks (region_alloccache.go): the parked
+	// ones go back to their pools, scrubbed of the dead region's
+	// cross-chunk links; on an arena with a backing store the exhausted
+	// ones are zeroed and pooled too when the count gate passes, and the
+	// slab pages go back to the store. After the unscan, which must see
+	// the counted slots to drop their targets' counts and reads the
+	// header of a same-region slot's target, which may live in any of
+	// those chunks.
+	r.reclaimChunks(slots != nil)
 	r.arena.unregister(r.id)
 	r.note(TraceRegionReclaimed, 1)
 	if p := r.parent; p != nil {

@@ -49,8 +49,8 @@ import (
 // cache-line multiples so two shards never share a line.
 const metricShards = 64
 
-// counterShard is one shard of every counter: 26 counters * 8 bytes =
-// 208 bytes, padded to 256 so shards start on separate cache lines.
+// counterShard is one shard of every counter: 27 counters * 8 bytes =
+// 216 bytes, padded to 256 so shards start on separate cache lines.
 type counterShard struct {
 	allocs atomic.Int64
 	// stores is indexed by StoreFlavour: completed SetRef stores, and
@@ -68,7 +68,7 @@ type counterShard struct {
 	// counts every lifecycle transition here, so each lifecycle counter
 	// of ArenaCounters is the count of its event kind.
 	events [traceKinds]atomic.Int64
-	_      [48]byte
+	_      [40]byte
 }
 
 // arenaMetrics is the sharded counter block, allocated by NewArena when
@@ -182,6 +182,11 @@ type ArenaCounters struct {
 	// shortfall is a leaked page (the chaos slab phase's judge).
 	SlabRefills  int64 `json:"slab_refills"`
 	SlabReleases int64 `json:"slab_releases"`
+	// ChunksRecycled counts the exhausted heap chunks that reclaim
+	// zeroed and returned to their pools (region_alloccache.go): only on
+	// an arena with a backing store, and only for a region whose count
+	// gate passed.
+	ChunksRecycled int64 `json:"chunks_recycled"`
 }
 
 // Counters returns a snapshot of the cumulative counters by summing the
@@ -220,6 +225,7 @@ func (a *Arena) Counters() ArenaCounters {
 		c.OwnerRevocations += ev[TraceOwnerRevoked].Load()
 		c.SlabRefills += ev[TraceSlabMapped].Load()
 		c.SlabReleases += ev[TraceSlabReleased].Load()
+		c.ChunksRecycled += ev[TraceChunkRecycled].Load()
 	}
 	return c
 }

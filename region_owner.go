@@ -633,6 +633,9 @@ func (r *Region) revokeOwner(expect *Owner) bool {
 		return false
 	}
 	expect.revoked.Store(true)
+	// The token's claims never reach objs, and a still-running owner
+	// may yet claim, so the region's chunks never pass the count gate.
+	r.forgoRecycle()
 	w, next := r.handOffLocked()
 	r.mu.Unlock()
 	r.note(TraceOwnerRevoked, 1)

@@ -173,10 +173,10 @@ func chunkSlabEligible[T any]() bool { return chunkTypeOf[T]().slab }
 // Region-owned page tracking.
 
 // slabChunkQuiescer is the type-erased face of a slab-backed
-// objChunk[T]: quiesce kills the claim cursor and waits out in-flight
-// claimers, after which the chunk's page has no writers and may be
-// freed.
-type slabChunkQuiescer interface{ quiesce() }
+// objChunk[T]: quiesce kills the claim cursor, waits out in-flight
+// claimers and returns how many claims the chunk handed out, after
+// which the chunk's page has no writers and may be freed.
+type slabChunkQuiescer interface{ quiesce() int64 }
 
 // slabPage is one store block owned by a region, with the chunk carved
 // into it. The entry holds the chunk strongly so quiesce can reach its
@@ -187,20 +187,25 @@ type slabPage struct {
 	size  int
 }
 
-// slabPageList tracks a region's slab pages from carve to reclaim.
-// closed flips exactly once, under mu, at reclaim: a carve that loses
-// the race (add returns false) frees its page immediately and the
-// allocation falls back to the GC heap — the mutex's release/acquire
-// edge guarantees the closing reclaim cannot miss a tracked page.
-type slabPageList struct {
-	mu     sync.Mutex
-	closed bool
-	pages  []slabPage
+// chunkLedger tracks, from carve or retire to reclaim, the chunks a
+// region on an arena with a backing store must account for at reclaim:
+// its slab pages and the heap chunks it exhausted (retired, linked
+// through their boxes). closed flips exactly once, under mu, at
+// reclaim: a carve that loses the race (add returns false) frees its
+// page immediately and the allocation falls back to the GC heap, and a
+// retire that loses it leaves its chunk to the collector — the mutex's
+// release/acquire edge guarantees the closing reclaim cannot miss a
+// tracked page or a listed chunk.
+type chunkLedger struct {
+	mu      sync.Mutex
+	closed  bool
+	pages   []slabPage
+	retired *chunkBox
 }
 
 // add tracks a freshly carved page; false means the region is already
 // reclaiming and the caller keeps ownership of the page.
-func (l *slabPageList) add(pg slabPage) bool {
+func (l *chunkLedger) add(pg slabPage) bool {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -211,24 +216,22 @@ func (l *slabPageList) add(pg slabPage) bool {
 	return true
 }
 
-// close marks the list closed and surrenders the tracked pages to the
-// caller, exactly once; later calls return nil.
-func (l *slabPageList) close() []slabPage {
+// retire takes an exhausted heap chunk out of its park slot and lists
+// it in one step under mu. Reclaim empties the park slots under the
+// same lock, so when it looks every chunk the region exhausted is
+// either still parked or listed, never in between.
+func (l *chunkLedger) retire(slot *atomic.Pointer[chunkBox], b *chunkBox) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
+	if slot.CompareAndSwap(b, nil) && !l.closed {
+		b.link = l.retired
+		l.retired = b
 	}
-	l.closed = true
-	pages := l.pages
-	l.pages = nil
 	l.mu.Unlock()
-	return pages
 }
 
 // count returns the number of currently tracked pages (0 once closed);
 // the auditor's slab-pages-total rule sums it across live regions.
-func (l *slabPageList) count() int64 {
+func (l *chunkLedger) count() int64 {
 	l.mu.Lock()
 	n := len(l.pages)
 	l.mu.Unlock()
@@ -237,27 +240,7 @@ func (l *slabPageList) count() int64 {
 
 // slabPageCount is the auditor's accessor for the region's tracked
 // pages.
-func (r *Region) slabPageCount() int64 { return r.slabPages.count() }
-
-// releaseSlabPages is reclaim's page return: close the list (exactly
-// once), quiesce every chunk's writers, then hand each page back to
-// the store for immediate reuse. Runs after the stateDead transition,
-// so no new slab carve can be tracked (add observes closed) and every
-// claimer either finished before the cursor kill or sees the poisoned
-// cursor — the writer gate makes "finished" mean "its header write
-// landed before the page is freed".
-func (r *Region) releaseSlabPages() {
-	pages := r.slabPages.close()
-	if len(pages) == 0 {
-		return
-	}
-	bs := r.arena.backing
-	for _, pg := range pages {
-		pg.chunk.quiesce()
-		bs.Free(pg.p, pg.size)
-	}
-	r.note(TraceSlabReleased, int64(len(pages)))
-}
+func (r *Region) slabPageCount() int64 { return r.chunks.count() }
 
 // ---------------------------------------------------------------------------
 // The slab refill edge.
@@ -270,18 +253,16 @@ const slabCursorKill = int64(1) << 62
 // quiesce implements slabChunkQuiescer on slab-backed chunks: poison
 // the cursor, capturing how many claim attempts preceded the poison,
 // then wait until every successful one of them has published its
-// header write through the claimed counter. New claimers after the
-// poison see an exhausted chunk and leave immediately, so the spin is
-// bounded by the handful of claims already in flight.
-func (ch *objChunk[T]) quiesce() {
-	attempts := ch.next.Swap(slabCursorKill)
-	want := attempts
-	if n := int64(len(ch.buf)); want > n {
-		want = n
-	}
+// header write through the claimed counter, and return that many. New
+// claimers after the poison see an exhausted chunk and leave
+// immediately, so the spin is bounded by the handful of claims already
+// in flight.
+func (ch *objChunk[T]) quiesce() int64 {
+	want := min(ch.next.Swap(slabCursorKill), int64(len(ch.buf)))
 	for ch.claimed.Load() < want {
 		runtime.Gosched()
 	}
+	return want
 }
 
 // newSlabChunkedObj is the slab flavour of the chunk refill: carve one
@@ -296,7 +277,7 @@ func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chu
 	// Failpoint on the map/refill window: an injected error is a
 	// refused slab map surfaced before the object is counted (nothing
 	// unwinds); perturbations widen the carve-vs-reclaim window the
-	// page list's closed flag decides.
+	// ledger's closed flag decides.
 	if err := fpSlabMap.Eval(); err != nil {
 		return nil, fmt.Errorf("%w: slab refill for region %d", err, r.id)
 	}
@@ -307,7 +288,7 @@ func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chu
 	n := chunkTargetBytes / int(unsafe.Sizeof(probe))
 	ch := &objChunk[T]{buf: unsafe.Slice((*Obj[T])(p), n), typ: ct, slab: true}
 	ch.box.c = ch
-	if !r.slabPages.add(slabPage{chunk: ch, p: p, size: chunkTargetBytes}) {
+	if !r.chunks.add(slabPage{chunk: ch, p: p, size: chunkTargetBytes}) {
 		// The region is already reclaiming: return the untracked page
 		// and let the heap path hand out a header the admission check
 		// will reject against the settled state.
@@ -317,7 +298,7 @@ func newSlabChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chu
 	r.note(TraceSlabMapped, 1)
 	if o := ch.claim(r); o != nil {
 		// Offer the remainder to the parking slot; if a racer parked
-		// first the chunk simply stays reachable through the page list
+		// first the chunk simply stays reachable through the ledger
 		// until reclaim (slab chunks never enter the sync.Pools).
 		slot.CompareAndSwap(nil, &ch.box)
 		return o, nil

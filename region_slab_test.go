@@ -5,8 +5,10 @@ package rcgo
 // reclaim, the error paths' unwrap chains (injected map failures,
 // refusing and capped stores, use after close), close idempotence, the
 // /slabs inspector endpoint, the slab audit rules, a region that
-// interleaves two types, and a churn stress whose judge is zero leaked
-// pages (run under -race by make race).
+// interleaves two types, a churn stress whose judge is zero leaked
+// pages (run under -race by make race), the allocations a
+// grobner-shaped region costs once its exhausted heap chunks are
+// recycled, and what a stale handle into a recycled chunk reads.
 
 import (
 	"encoding/json"
@@ -491,4 +493,123 @@ func TestSlabChurnZeroLeaks(t *testing.T) {
 	if c.SlabRefills == 0 || c.SlabRefills != c.SlabReleases {
 		t.Fatalf("refills=%d releases=%d, want equal and nonzero", c.SlabRefills, c.SlabReleases)
 	}
+}
+
+// churnRegion builds and deletes one grobner-shaped region: 880 terms
+// linked into a list by SetSame, interleaved with 80 pointer-free
+// coefficients (slab-backed on an arena with a backing store).
+func churnRegion(a *Arena) error {
+	r := a.NewRegion()
+	var prev *Obj[termShape]
+	for i := 0; i < 880; i++ {
+		t, err := TryAlloc[termShape](r)
+		if err != nil {
+			return err
+		}
+		t.Value.val = int64(i)
+		if prev != nil {
+			if err := SetSame(prev, &prev.Value.next, t); err != nil {
+				return err
+			}
+		}
+		prev = t
+		if i%11 == 0 {
+			c, err := TryAlloc[coefShape](r)
+			if err != nil {
+				return err
+			}
+			c.Value.c[i%4] = int64(i)
+		}
+	}
+	return r.Delete()
+}
+
+// On a slab arena a dead region's exhausted term chunks come back
+// zeroed through their pool, so in steady state a grobner-shaped region
+// costs three allocations: the Region, its slab chunk and the ledger's
+// page list. Without recycling it cost 8. A default arena leaves the
+// exhausted chunks to the collector and recycles none.
+func TestChurnSlabSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, so chunk refills allocate")
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     []Option
+		max      float64
+		recycles bool
+	}{
+		{"slab", []Option{WithOffHeapSlabs(), WithMetrics()}, 3, true},
+		{"default", []Option{WithMetrics()}, 8, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewArena(tc.opts...)
+			defer a.CloseBackingStore()
+			for i := 0; i < 10; i++ {
+				if err := churnRegion(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := testing.AllocsPerRun(50, func() {
+				if err := churnRegion(a); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > tc.max {
+				t.Errorf("%.1f allocations per region, want <= %v", n, tc.max)
+			}
+			if got := a.Counters().ChunksRecycled; (got > 0) != tc.recycles {
+				t.Errorf("ChunksRecycled = %d, want recycling %v", got, tc.recycles)
+			}
+		})
+	}
+}
+
+// A stale *Obj into a recycled heap chunk reads whatever the chunk's
+// next region put there, as a stale handle into a recycled slab page
+// does (DESIGN.md §16). On a default arena the chunk is never recycled,
+// so the stale handle keeps its dead header and Use panics.
+func TestStaleHandleIntoRecycledChunk(t *testing.T) {
+	t.Run("slab", func(t *testing.T) {
+		a := NewArena(WithOffHeapSlabs())
+		defer a.CloseBackingStore()
+		r := a.NewRegion()
+		ch, stale := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+		if err := r.Delete(); err != nil {
+			t.Fatal(err)
+		}
+		if ch.next.Load() != 0 {
+			t.Fatal("the exhausted chunk was not recycled")
+		}
+		r2 := a.NewRegion()
+		defer r2.Delete()
+		for i := 0; i < 2*len(ch.buf); i++ {
+			o := Alloc[recTerm](r2)
+			o.Value.val = -7
+			if o == stale {
+				if v := stale.Use(); v.val != -7 || stale.Region() != r2 {
+					t.Fatalf("stale handle reads val=%d in region %p, want the new object's -7 in %p", v.val, stale.Region(), r2)
+				}
+				return
+			}
+		}
+		if !raceEnabled {
+			t.Fatal("the recycled chunk never came back out of its pool")
+		}
+		t.Log("the race detector dropped the recycled chunk's pool put")
+	})
+	t.Run("default", func(t *testing.T) {
+		a := NewArena()
+		r := a.NewRegion()
+		_, stale := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+		if err := r.Delete(); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Use of a stale handle on a default arena did not panic")
+			}
+		}()
+		stale.Use()
+	})
 }

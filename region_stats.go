@@ -54,7 +54,7 @@ func (r *Region) Stats() RegionStats {
 			ID:         r.id,
 			RC:         rc,
 			Pins:       r.pins.Load(),
-			Objects:    r.objs.Load(),
+			Objects:    r.liveObjs(),
 			Subregions: r.children.Load(),
 		}
 		switch r.state.Load() { // stable: transitions hold mu
@@ -79,15 +79,25 @@ func (r *Region) RC() int64 { return r.rc.Load() }
 func (r *Region) Pins() int64 { return r.pins.Load() }
 
 // Objects returns the number of live objects in the region, 0 once it
-// is reclaimed. Lock-free; concurrent allocations make it a momentary
-// approximation, quiescence makes it exact (like every other counter).
-// An owned region's unflushed owner-local allocations are not included;
-// they land at Release.
+// is reclaimed: the claims that reached admission less the refused
+// ones (liveObjs). Lock-free; concurrent allocations make it a
+// momentary approximation, quiescence makes it exact (like every other
+// counter). An owned region's unflushed owner-local allocations are not
+// included; they land at Release.
 func (r *Region) Objects() int64 {
 	if r.settled() == stateDead {
 		return 0
 	}
-	return r.objs.Load()
+	return r.liveObjs()
+}
+
+// liveObjs is the region's object count: the claims that reached
+// admission less the refused ones. withdrawn is read first, so a
+// refusal racing the read can only make the result larger, never
+// negative.
+func (r *Region) liveObjs() int64 {
+	w := r.withdrawn.Load()
+	return r.objs.Load() - w
 }
 
 // Deleted reports whether the region has been deleted (explicitly, or
@@ -191,7 +201,7 @@ func (a *Arena) population() population {
 				default: // stateAlive, stateDying
 					p.live++
 				}
-				p.objects += r.objs.Load()
+				p.objects += r.liveObjs()
 			}
 			sh.mu.Unlock()
 		}

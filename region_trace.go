@@ -90,17 +90,24 @@ const (
 	// the backing store. One event per region, emitted before the
 	// reclaimed event; its count (SlabReleases) grows by the page count.
 	TraceSlabReleased
+	// TraceChunkRecycled: reclaim zeroed the heap chunks the region
+	// exhausted and returned them to their pools, on an arena with a
+	// backing store once the count gate passed (region_alloccache.go).
+	// One event per region, emitted before the reclaimed event; its
+	// count (ChunksRecycled) grows by the chunk count.
+	TraceChunkRecycled
 )
 
 // traceKinds is the number of event kinds: the length of the name table
 // and of each metric shard's per-kind event counters.
-const traceKinds = TraceSlabReleased + 1
+const traceKinds = TraceChunkRecycled + 1
 
 // traceKindNames names each kind, in TraceKind order.
 var traceKindNames = [traceKinds]string{
 	"created", "deleted", "deferred", "reclaimed", "delete-blocked",
 	"store-upgradeable", "acquired", "released", "acquire-blocked",
 	"acquire-aborted", "owner-revoked", "slab-mapped", "slab-released",
+	"chunk-recycled",
 }
 
 // String names the event kind.
@@ -154,7 +161,8 @@ type Tracer interface {
 
 // note records one lifecycle transition of r on the one instrument
 // gate: n more events of kind in the metric shards when metrics are on
-// (n is 1 but for a slab release, which counts its pages), and one
+// (n is 1 but for a slab release or a chunk recycle, which count
+// their pages or chunks), and one
 // TraceEvent to the tracer when one is set. It inlines, so disarmed it
 // costs the load of r.instr and a branch, with no call. Callers must
 // not hold r.mu: tracers may call back into the runtime.

@@ -343,6 +343,7 @@ func TestTraceKindText(t *testing.T) {
 	for k, want := range map[TraceKind]string{
 		TraceRegionCreated: "created", TraceRegionDeleted: "deleted",
 		TraceAcquireAborted: "acquire-aborted", TraceSlabReleased: "slab-released",
+		TraceChunkRecycled: "chunk-recycled",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
@@ -352,7 +353,7 @@ func TestTraceKindText(t *testing.T) {
 	if err := k.UnmarshalText([]byte("nonesuch")); err == nil {
 		t.Error("unknown kind name accepted")
 	}
-	if got := TraceKind(traceKinds).String(); got != "TraceKind(13)" {
+	if got := TraceKind(traceKinds).String(); got != "TraceKind(14)" {
 		t.Errorf("TraceKind(traceKinds).String() = %q", got)
 	}
 }
