@@ -53,10 +53,12 @@ test-shuffle:
 # chunk pools, whose second or third run of the same test inherits the
 # chunks the first left behind, and the expvar names the trace tests
 # publish. It also repeats the layout tests (Obj's region first,
-# Region under the malloc-header line). A test that only passes on a
-# fresh process fails here.
+# Region under the malloc-header line and in its 416 B size class) and
+# the sealed-chunk tests (Seal: an owner's private chunk handed back to
+# the park at release, hand-off and a failed delete). A test that only
+# passes on a fresh process fails here.
 test-repeat:
-	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Recycle|Unscan|Registry|Trace|RegionFirst|MallocHeader|CacheLines' .
+	$(GO) test -count=3 -run 'Park|Chunk|Slab|Alloc|Recycle|Seal|Unscan|Registry|Trace|RegionFirst|MallocHeader|SizeClass|CacheLines' .
 
 # Race-detector pass: the concurrent Go-native runtime stress tests
 # (region_concurrent_test.go) are only meaningful under -race. -short

@@ -33,6 +33,11 @@ import (
 //     second level, touched only on slot misses; reclaim returns a
 //     region's parked chunks to their pools so the chunk capacity
 //     outlives the region. Oversized types bypass chunking.
+//   - The owner's sealed chunk. An Owner token takes a heap chunk out of
+//     its region's park and seals it with one swap of the cursor, then
+//     claims from it with plain stores; it hands the chunk back to the
+//     park at Release, hand-off and Owner.Delete (region_owner.go,
+//     DESIGN.md §11). Slab chunks are never sealed.
 //   - The dead-region scrub. A pooled chunk's claimed headers are dead
 //     objects, and the next region to park the chunk keeps them
 //     reachable. Before reclaim pools a parked chunk it cuts every link
@@ -228,6 +233,14 @@ func (ch *objChunk[T]) repool(settled bool) {
 	ch.typ.pool.Put(ch)
 }
 
+// unseal ends a token's seal (Owner.handBack): the chunk's cursor
+// becomes the token's, and it reports whether the token exhausted the
+// chunk.
+func (ch *objChunk[T]) unseal(next int64) bool {
+	ch.next.Store(next)
+	return next >= int64(len(ch.buf))
+}
+
 // claims counts the headers handed out on an exhausted chunk since
 // its base, for the count gate.
 func (ch *objChunk[T]) claims() int64 { return int64(len(ch.buf)) - ch.base }
@@ -301,10 +314,11 @@ type chunkBox struct {
 }
 
 // chunkRef is the type-erased face of an objChunk[T]: displacement
-// (release), reclaim of a parked chunk (unpark, repool) and of a
-// retired one (claims, recycle).
+// (release), the end of a token's seal (unseal), reclaim of a parked
+// chunk (unpark, repool) and of a retired one (claims, recycle).
 type chunkRef interface {
 	release()
+	unseal(next int64) bool
 	unpark() int64
 	repool(settled bool)
 	claims() int64
@@ -446,8 +460,8 @@ func newHeapChunkedObj[T any](r *Region, slot *atomic.Pointer[chunkBox], ct *chu
 // leaves the park), so a reclaim whose first read of objs counts that
 // claim sees the flag.
 func (r *Region) forgoRecycle() {
-	if !r.noRecycle.Load() {
-		r.noRecycle.Store(true)
+	if !r.chunks.noRecycle.Load() {
+		r.chunks.noRecycle.Store(true)
 	}
 }
 
@@ -504,7 +518,7 @@ func (r *Region) reclaimChunks(registered bool) {
 	for _, pg := range pages {
 		claims += pg.chunk.quiesce()
 	}
-	settled := claims == objs && !registered && !r.noRecycle.Load()
+	settled := claims == objs && !registered && !r.chunks.noRecycle.Load()
 	for _, b := range parked {
 		if b != nil {
 			b.c.repool(settled)

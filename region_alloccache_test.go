@@ -568,30 +568,44 @@ func drainPool[T any]() {
 	}
 }
 
-// fillRecTerms allocates one chunk's worth of linked terms and one more
-// through alloc, so the first chunk is exhausted and retired, and
-// returns that chunk and its first object.
-func fillRecTerms(t *testing.T, r *Region, alloc func() (*Obj[recTerm], error)) (*objChunk[recTerm], *Obj[recTerm]) {
+// fillRecTerms allocates one chunk's worth of linked terms and one more,
+// through the token own or, when own is nil, through the shared
+// TryAlloc, so the first chunk is exhausted and retired, and returns
+// that chunk and its first object. The chunk is read where the first
+// allocation left it: in the park slot, or sealed in the token.
+func fillRecTerms(t *testing.T, r *Region, own *Owner) (*objChunk[recTerm], *Obj[recTerm]) {
 	t.Helper()
 	drainPool[recTerm]()
-	slot := &r.chunkPark[chunkParkSlot(unsafe.Sizeof(Obj[recTerm]{}))]
+	i := chunkParkSlot(unsafe.Sizeof(Obj[recTerm]{}))
+	filled := func() *chunkBox {
+		if own != nil {
+			return own.sealed[i].box
+		}
+		return r.chunkPark[i].Load()
+	}
 	var first, prev *Obj[recTerm]
 	var ch *objChunk[recTerm]
 	per := chunkTargetBytes / int(unsafe.Sizeof(Obj[recTerm]{}))
-	for i := 0; i <= per; i++ {
-		o, err := alloc()
+	for n := 0; n <= per; n++ {
+		var o *Obj[recTerm]
+		var err error
+		if own != nil {
+			o, err = TryAllocOwned[recTerm](own)
+		} else {
+			o, err = TryAlloc[recTerm](r)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Value.val = int64(i + 1)
+		o.Value.val = int64(n + 1)
 		if prev == nil {
-			first, ch = o, slot.Load().c.(*objChunk[recTerm])
+			first, ch = o, filled().c.(*objChunk[recTerm])
 		} else {
 			o.Value.next.swap(prev)
 		}
 		prev = o
 	}
-	if ch.next.Load() < int64(len(ch.buf)) || slot.Load() == &ch.box {
+	if ch.next.Load() < int64(len(ch.buf)) || filled() == &ch.box {
 		t.Fatal("the first chunk was not exhausted and retired")
 	}
 	return ch, first
@@ -603,7 +617,7 @@ func TestRecycledChunkZeroed(t *testing.T) {
 	a := NewArena(WithOffHeapSlabs(), WithMetrics())
 	defer a.CloseBackingStore()
 	r := a.NewRegion()
-	ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+	ch, _ := fillRecTerms(t, r, nil)
 	if err := r.Delete(); err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +646,7 @@ func TestRecycleRefusals(t *testing.T) {
 	}{
 		{"type-switch", func(t *testing.T, a *Arena) (*Region, *objChunk[recTerm]) {
 			r := a.NewRegion()
-			ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+			ch, _ := fillRecTerms(t, r, nil)
 			if chunkParkSlot(unsafe.Sizeof(Obj[recTerm]{})) != chunkParkSlot(unsafe.Sizeof(Obj[cachePayload]{})) {
 				t.Fatal("recTerm and cachePayload no longer share a park slot; pick a colliding pair")
 			}
@@ -641,14 +655,14 @@ func TestRecycleRefusals(t *testing.T) {
 		}},
 		{"oversize", func(t *testing.T, a *Arena) (*Region, *objChunk[recTerm]) {
 			r := a.NewRegion()
-			ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+			ch, _ := fillRecTerms(t, r, nil)
 			Alloc[recHuge](r)
 			return r, ch
 		}},
 		{"revoked-token", func(t *testing.T, a *Arena) (*Region, *objChunk[recTerm]) {
 			r := a.NewRegion()
 			own := r.Acquire()
-			ch, _ := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAllocOwned[recTerm](own) })
+			ch, _ := fillRecTerms(t, r, own)
 			if !r.revokeOwner(own) {
 				t.Fatal("revocation lost")
 			}

@@ -125,13 +125,13 @@ type Region struct {
 	// reference fast paths (incRC/decRC) and stat reads never block on it.
 	mu    sync.Mutex
 	state atomic.Int32
-	// noRecycle turns the dead region's count gate off (reclaimChunks,
-	// region_alloccache.go): set, never cleared, when a claim counted in
-	// objs may sit on a chunk the region does not list.
-	noRecycle atomic.Bool
-	rc        atomic.Int64 // external counted references, including pins
-	pins      atomic.Int64 // the pin subset of rc, for stats
-	children  atomic.Int64
+	// acquirePCN (mu-guarded, with acquirePC below) is how many frames
+	// of the current token's acquire site are recorded; it fills the
+	// 4-byte hole after state.
+	acquirePCN int32
+	rc         atomic.Int64 // external counted references, including pins
+	pins       atomic.Int64 // the pin subset of rc, for stats
+	children   atomic.Int64
 	// objs counts every claim that reached admission, refused ones
 	// included, and withdrawn the refused ones: the region holds
 	// objs − withdrawn objects (Region.Objects). Each claim writes its
@@ -178,9 +178,8 @@ type Region struct {
 	// acquirePC/acquirePCN (also mu-guarded) record where the current
 	// token was minted, when the arena records acquire sites, for the
 	// OwnerWatchdog's stale-owner reports and the /owners inspector.
-	waitq      []*acquireWaiter
-	acquirePC  [acquirePCDepth]uintptr
-	acquirePCN int
+	waitq     []*acquireWaiter
+	acquirePC [acquirePCDepth]uintptr
 	// since (mu-guarded) is when the region entered its current owned or
 	// zombie state — a region is never both — set by the acquire or
 	// hand-off that minted the current token, or by DeleteDeferred's

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Exclusive region ownership (DESIGN.md §14): the regions-as-locks idea
@@ -16,12 +17,19 @@ import (
 // SetTradOwned, SetParentOwned) exploit that exclusivity: the object
 // count and the metric deltas that the shared paths maintain with
 // atomics are kept in plain owner-local fields on the token and flushed
-// to the shared counters at Release. Counted slots are not: an owned
-// store registers a slot it fills in the region's own registry, like a
-// shared one, so the registry stays the one record of them. The common
-// pipeline pattern — build a region on one goroutine, hand it through a
-// channel, let the consumer delete it — pays near-zero synchronization
-// per operation.
+// to the shared counters at Release. An owned allocation is a pointer
+// bump: the token takes the heap chunk parked in the type's park slot
+// out of the park, seals it with one swap of its shared cursor, and
+// then claims from it with a plain cursor of its own and a plain header
+// store; the chunk goes back to the park at Release, at a hand-off and
+// at Owner.Delete (TryAllocOwned, Owner.handBack). Counted slots are
+// not batched: an owned store registers a slot it fills in the region's
+// own registry, like a shared one, so the registry stays the one record
+// of them. What an owned store still pays is its one atomic slot write
+// (hazard 1 says why) and, for a counted store into another region, the
+// target's rc protocol. So the common pipeline pattern — build a region
+// on one goroutine, hand it through a channel, let the consumer delete
+// it — pays no lock and no fetch-add per allocation or annotated store.
 //
 // The owned-state machine. Acquire transitions a region stateAlive →
 // stateOwned under the lifecycle mutex; Release transitions it back.
@@ -64,12 +72,18 @@ import (
 //     the barrier takes the lock; any store that takes the lock after
 //     the barrier re-reads the state inside it (SetRef checks the
 //     holder state under the registry mutex) and fails with
-//     ErrRegionOwned. After Acquire returns, no shared-path store can
-//     touch the region's slots, and the barrier's lock/unlock pair
+//     ErrRegionOwned. After Acquire returns, no shared counted store
+//     can touch the region's slots, and the barrier's lock/unlock pair
 //     gives the acquiring goroutine a happens-before edge over every
 //     prior registration. The owner decides whether a store registers
 //     its slot from the value its own Swap returns, and registers it
 //     under the same registry lock the shared stores take.
+//     The barrier does not cover the annotated stores: a shared SetSame,
+//     SetTrad or SetParent takes no lock, so one that read stateAlive in
+//     checkHolder before the transition can still land its atomic slot
+//     write after Acquire returns (region_store.go, the annotated
+//     branch). That straggler is why every owned store keeps its atomic
+//     slot write: a plain owned store into the same word would race it.
 //  2. Concurrent readers while owned. Stats/Audit/Hierarchy read only
 //     atomics (or take mu, which the owner's fast paths never hold), so
 //     the owner keeps its *new* counts in plain fields those readers
@@ -205,6 +219,19 @@ type Owner struct {
 	// uncontended load on an owner-local cache line, so the owned fast
 	// paths keep their plain-field cost story.
 	revoked atomic.Bool
+	// sealed is the token's hold on the heap chunks it allocates from,
+	// one per park slot (TryAllocOwned).
+	sealed [chunkParkSlots]sealedChunk
+}
+
+// sealedChunk is a heap chunk the token took out of its region's park
+// and sealed (DESIGN.md §11): the chunk's shared cursor was swapped to
+// len(buf), so an allocator that still holds the chunk finds it
+// exhausted, and the token hands out [next, len(buf)) from its own plain
+// cursor. A nil box holds nothing.
+type sealedChunk struct {
+	box  *chunkBox
+	next int64
 }
 
 // Region returns the owned region, or nil after Release/Delete.
@@ -278,7 +305,7 @@ func (r *Region) acquireLocked() (*Owner, error) {
 	if r.arena.recordAcquireSites.Load() {
 		// Skip runtime.Callers, acquireLocked and its Try/AcquireContext
 		// wrapper: the first recorded frame is the acquiring caller.
-		r.acquirePCN = runtime.Callers(3, r.acquirePC[:])
+		r.acquirePCN = int32(runtime.Callers(3, r.acquirePC[:]))
 	}
 	return o, nil
 }
@@ -472,7 +499,7 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 		r.owner.Store(next)
 		r.since = time.Now()
 		r.acquirePC = w.pcs
-		r.acquirePCN = w.npc
+		r.acquirePCN = int32(w.npc)
 		return w, next
 	}
 	r.owner.Store(nil)
@@ -486,6 +513,13 @@ func (r *Region) handOffLocked() (w *acquireWaiter, next *Owner) {
 // so a Delete that fails ErrRegionInUse after flushing leaves a
 // still-valid token with nothing double-counted.
 func (o *Owner) flushLocked(r *Region) {
+	// The sealed chunks go back first: a displaced one turns the count
+	// gate off before the token's claims on it reach objs.
+	for i := range o.sealed {
+		if o.sealed[i].box != nil {
+			o.handBack(r, i)
+		}
+	}
 	if c := r.counters(); c != nil && (o.objs != 0 || o.m.any()) {
 		c.allocs.Add(o.objs)
 		for f, n := range o.m.stores {
@@ -661,7 +695,7 @@ func (r *Region) ownerInfo() (held bool, o *Owner, since time.Time, site string,
 	npc := r.acquirePCN
 	depth = len(r.waitq)
 	r.mu.Unlock()
-	return true, o, since, acquireSite(pcs, npc), depth
+	return true, o, since, acquireSite(pcs, int(npc)), depth
 }
 
 // acquireSite renders a recorded acquire call stack as "file:line (fn)",
@@ -696,11 +730,15 @@ func AllocOwned[T any](o *Owner) *Obj[T] {
 // TryAllocOwned allocates a zero T in the owned region through its
 // token. The owned path skips everything the shared TryAlloc pays for
 // admission: no state-check loop (the token proves the region is
-// owned-alive), no atomic on the region's object counter —
-// the object count and the metric delta are plain increments on the
-// token, flushed at Release. The object itself still comes from the
-// pooled per-type chunks (region_alloccache.go); their cursor atomics
-// are uncontended while owned.
+// owned-alive), no atomic on the region's object counter — the object
+// count and the metric delta are plain increments on the token, flushed
+// at Release. Nor does it claim with an atomic: the token seals the
+// heap chunk parked in T's slot and bumps its own cursor through it,
+// writing each header with a plain store. A miss (the sealed chunk is
+// exhausted or of another type) hands the chunk back and takes the
+// shared refill path, then seals the chunk that path parked. Slab
+// chunks are never sealed: owned claims on them keep the writer gate
+// (region_slab.go).
 func TryAllocOwned[T any](o *Owner) (*Obj[T], error) {
 	r := o.r
 	if r == nil {
@@ -709,12 +747,70 @@ func TryAllocOwned[T any](o *Owner) (*Obj[T], error) {
 	if o.revoked.Load() {
 		return nil, fmt.Errorf("%w: owned allocation", ErrOwnerRevoked)
 	}
+	var probe Obj[T]
+	chunked := unsafe.Sizeof(probe) <= maxChunkObjBytes
+	i := chunkParkSlot(unsafe.Sizeof(probe))
+	if s := &o.sealed[i]; chunked && s.box != nil {
+		if c, ok := s.box.c.(*objChunk[T]); ok && s.next < int64(len(c.buf)) {
+			obj := &c.buf[s.next]
+			s.next++
+			obj.region = r
+			o.objs++
+			return obj, nil
+		}
+		o.handBack(r, i)
+	}
 	obj, err := newChunkedObj[T](r)
 	if err != nil {
 		return nil, err
 	}
 	o.objs++
+	if chunked {
+		sealParked[T](o, r, i)
+	}
 	return obj, nil
+}
+
+// sealParked takes the heap chunk of T parked in slot i out of the
+// region's park and seals it for the token. The chunk leaves the park
+// before its cursor is swapped, so a shared allocator that finds it
+// exhausted cannot retire it. A slab chunk, a chunk of another type and
+// an empty slot are left as they are.
+func sealParked[T any](o *Owner, r *Region, i int) {
+	slot := &r.chunkPark[i]
+	b := slot.Load()
+	if b == nil {
+		return
+	}
+	c, ok := b.c.(*objChunk[T])
+	if !ok || c.slab || !slot.CompareAndSwap(b, nil) {
+		return
+	}
+	end := int64(len(c.buf))
+	o.sealed[i] = sealedChunk{box: b, next: min(c.next.Swap(end), end)}
+}
+
+// handBack returns the token's sealed chunk in park slot i to the
+// region, in the state the shared path would have left it: the token's
+// cursor goes back into the chunk, and the chunk is parked again. An
+// exhausted chunk is instead listed for reclaim on an arena with a
+// backing store and left to the collector otherwise; one whose slot
+// refilled meanwhile (a shared allocator's refill raced the owned
+// region) is released as displaced. So reclaim, the scrub and the count
+// gate see what they would have seen without the seal.
+func (o *Owner) handBack(r *Region, i int) {
+	s := &o.sealed[i]
+	b, next := s.box, s.next
+	*s = sealedChunk{}
+	switch {
+	case b.c.unseal(next):
+		if r.arena.backing != nil {
+			r.chunks.list(b)
+		}
+	case !r.chunkPark[i].CompareAndSwap(nil, b):
+		r.forgoRecycle()
+		b.c.release()
+	}
 }
 
 // holds is the token rule of every owned store: the token is live (not

@@ -1,10 +1,14 @@
 package rcgo
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"rcgo/internal/failpoint"
 )
@@ -529,5 +533,303 @@ func TestOwnedConcurrentReaders(t *testing.T) {
 	}
 	if got := a.LiveObjects(); got != 0 {
 		t.Fatalf("LiveObjects = %d, want 0", got)
+	}
+}
+
+// sealNode is the sealed-chunk tests' own type, so their chunks come
+// from a pool no other test feeds.
+type sealNode struct {
+	val  int64
+	next Ref[sealNode]
+}
+
+// sealSlot is sealNode's park slot.
+var sealSlot = chunkParkSlot(unsafe.Sizeof(Obj[sealNode]{}))
+
+// sealedChunkOf returns the chunk the token holds sealed in sealNode's
+// slot and its cursor, failing if it holds none.
+func sealedChunkOf(t *testing.T, own *Owner) (*objChunk[sealNode], int64) {
+	t.Helper()
+	s := own.sealed[sealSlot]
+	if s.box == nil {
+		t.Fatal("the token holds no sealed chunk")
+	}
+	return s.box.c.(*objChunk[sealNode]), s.next
+}
+
+// handedBack checks that the park slot holds ch with its shared cursor
+// at the token's cursor next.
+func handedBack(t *testing.T, r *Region, ch *objChunk[sealNode], next int64) {
+	t.Helper()
+	if r.chunkPark[sealSlot].Load() != &ch.box {
+		t.Fatal("the token's chunk is not parked again")
+	}
+	if got := ch.next.Load(); got != next {
+		t.Fatalf("handed-back cursor = %d, want the token's %d", got, next)
+	}
+}
+
+// A token's sealed chunk is its own: while one goroutine allocates
+// 2,000 objects through the token, another hammers the shared TryAlloc
+// on the same region. Every shared call fails with ErrRegionOwned, every
+// owned object is distinct and keeps its header and value, and after
+// Release the region holds exactly the owned objects. Under -race a
+// shared claim landing on an index the token handed out is a reported
+// race on its header.
+func TestSealIndexUniqueness(t *testing.T) {
+	const n = 2000
+	a := NewArena()
+	r := a.NewRegion()
+	own := r.Acquire()
+	stop := make(chan struct{})
+	hammered := make(chan error, 1)
+	var calls atomic.Int64
+	go func() {
+		for {
+			select {
+			case <-stop:
+				hammered <- nil
+				return
+			default:
+			}
+			if _, err := TryAlloc[sealNode](r); !errors.Is(err, ErrRegionOwned) {
+				hammered <- fmt.Errorf("shared TryAlloc %d on an owned region: %v, want ErrRegionOwned", calls.Load(), err)
+				return
+			}
+			calls.Add(1)
+		}
+	}()
+	for calls.Load() == 0 {
+		runtime.Gosched()
+	}
+	objs := make([]*Obj[sealNode], n)
+	for i := range objs {
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
+		o, err := TryAllocOwned[sealNode](own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Value.val = int64(i) + 1
+		objs[i] = o
+	}
+	close(stop)
+	if err := <-hammered; err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[*Obj[sealNode]]bool, n)
+	for i, o := range objs {
+		if seen[o] {
+			t.Fatalf("object %d was handed out twice", i)
+		}
+		seen[o] = true
+		if o.region != r || o.Value.val != int64(i)+1 {
+			t.Fatalf("object %d: region %p val %d, want %p and %d", i, o.region, o.Value.val, r, i+1)
+		}
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Objects(); got != n {
+		t.Fatalf("Objects = %d after Release, want %d", got, n)
+	}
+}
+
+// Release, a direct hand-off and an Owner.Delete that fails
+// ErrRegionInUse each hand the token's sealed chunk back: the park slot
+// holds it again, its cursor at the token's, and the next allocation
+// takes exactly that index.
+func TestSealHandBack(t *testing.T) {
+	alloc := func(t *testing.T, own *Owner, k int) {
+		t.Helper()
+		for j := 0; j < k; j++ {
+			AllocOwned[sealNode](own)
+		}
+	}
+	t.Run("release", func(t *testing.T) {
+		r := NewArena().NewRegion()
+		own := r.Acquire()
+		alloc(t, own, 5)
+		ch, next := sealedChunkOf(t, own)
+		if r.chunkPark[sealSlot].Load() != nil {
+			t.Fatal("the sealed chunk is still parked")
+		}
+		if err := own.Release(); err != nil {
+			t.Fatal(err)
+		}
+		handedBack(t, r, ch, next)
+		if o := Alloc[sealNode](r); o != &ch.buf[next] {
+			t.Fatal("the next shared TryAlloc did not take the token's next index")
+		}
+	})
+	t.Run("hand-off", func(t *testing.T) {
+		r := NewArena().NewRegion()
+		own := r.Acquire()
+		alloc(t, own, 5)
+		ch, next := sealedChunkOf(t, own)
+		got := make(chan *Owner, 1)
+		go func() {
+			o, err := r.AcquireContext(context.Background())
+			if err != nil {
+				t.Error(err)
+			}
+			got <- o
+		}()
+		for r.waiterCount() == 0 {
+			runtime.Gosched()
+		}
+		if err := own.Release(); err != nil {
+			t.Fatal(err)
+		}
+		succ := <-got
+		if succ == nil {
+			t.FailNow()
+		}
+		handedBack(t, r, ch, next)
+		if o := AllocOwned[sealNode](succ); o != &ch.buf[next] {
+			t.Fatal("the successor's first allocation did not take the token's next index")
+		}
+		if err := succ.Delete(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("failed-delete", func(t *testing.T) {
+		r := NewArena().NewRegion()
+		unpin := Pin(Alloc[sealNode](r))
+		own := r.Acquire()
+		alloc(t, own, 5)
+		ch, next := sealedChunkOf(t, own)
+		if err := own.Delete(); !errors.Is(err, ErrRegionInUse) {
+			t.Fatalf("Owner.Delete under a pin: %v, want ErrRegionInUse", err)
+		}
+		handedBack(t, r, ch, next)
+		// The token is still valid, and seals the chunk again.
+		if o := AllocOwned[sealNode](own); o != &ch.buf[next] {
+			t.Fatal("the token's next allocation did not take its next index")
+		}
+		if again, at := sealedChunkOf(t, own); again != ch || at != next+1 {
+			t.Fatalf("resealed chunk %p at %d, want %p at %d", again, at, ch, next+1)
+		}
+		if r.chunkPark[sealSlot].Load() != nil {
+			t.Fatal("the resealed chunk is still parked")
+		}
+		unpin()
+		if err := own.Delete(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Objects(); got != 0 {
+			t.Fatalf("Objects = %d after delete, want 0", got)
+		}
+	})
+}
+
+// Slab chunks are never sealed: an owned pointer-free allocation on a
+// slab arena claims through the slab chunk's writer gate, as a shared
+// one does. An owned grobner-shaped region on a slab arena still
+// recycles its exhausted heap chunks at Owner.Delete.
+func TestSealSlabArenas(t *testing.T) {
+	t.Run("slab-chunk", func(t *testing.T) {
+		a := NewArena(WithOffHeapSlabs())
+		defer a.CloseBackingStore()
+		r := a.NewRegion()
+		own := r.Acquire()
+		const n = 10
+		for j := 0; j < n; j++ {
+			AllocOwned[coefShape](own)
+		}
+		i := chunkParkSlot(unsafe.Sizeof(Obj[coefShape]{}))
+		if own.sealed[i].box != nil {
+			t.Fatal("the token sealed a slab chunk")
+		}
+		ch := r.chunkPark[i].Load().c.(*objChunk[coefShape])
+		if !ch.slab || ch.next.Load() != n || ch.claimed.Load() != n {
+			t.Fatalf("slab chunk: slab=%v next=%d claimed=%d, want true, %d, %d",
+				ch.slab, ch.next.Load(), ch.claimed.Load(), n, n)
+		}
+		if err := own.Delete(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("owned-churn", func(t *testing.T) {
+		a := NewArena(WithOffHeapSlabs(), WithMetrics())
+		defer a.CloseBackingStore()
+		drainPool[termShape]()
+		own := a.NewRegion().Acquire()
+		var prev *Obj[termShape]
+		for j := 0; j < 880; j++ {
+			x := AllocOwned[termShape](own)
+			x.Value.val = int64(j)
+			if prev != nil {
+				if err := SetSameOwned(own, prev, &prev.Value.next, x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prev = x
+			if j%11 == 0 {
+				AllocOwned[coefShape](own)
+			}
+		}
+		if err := own.Delete(); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Counters().ChunksRecycled; got == 0 {
+			t.Fatal("an owned region's exhausted heap chunks were not recycled")
+		}
+	})
+}
+
+// The stale claimer: a shared allocator that loaded the park slot
+// before the token sealed its chunk finds the chunk exhausted, and
+// retires it only after the token re-parked it part-used. Reclaim must
+// not recycle that chunk. On an arena with a backing store the listed
+// chunk counts len(buf) − base claims, more than the region made, so
+// the count gate fails; on a default arena the retire drops the chunk
+// from the park, and it goes to the collector unscrubbed. The
+// interleaving is played step by step, the retire exactly as
+// newChunkedObj's exhausted branch makes it.
+func TestSealStaleClaimer(t *testing.T) {
+	for _, backing := range []bool{false, true} {
+		name := "default"
+		opts := []Option{WithMetrics()}
+		if backing {
+			name = "slab-arena"
+			opts = append(opts, WithOffHeapSlabs())
+		}
+		t.Run(name, func(t *testing.T) {
+			a := NewArena(opts...)
+			defer a.CloseBackingStore()
+			drainPool[sealNode]()
+			r := a.NewRegion()
+			Alloc[sealNode](r)
+			slot := &r.chunkPark[sealSlot]
+			b := slot.Load() // the stale claimer's load
+			ch := b.c.(*objChunk[sealNode])
+			own := r.Acquire()
+			x := AllocOwned[sealNode](own)
+			x.Value.val = 42
+			if ch.claim(r) != nil {
+				t.Fatal("a sealed chunk handed out a claim")
+			}
+			if err := own.Release(); err != nil {
+				t.Fatal(err)
+			}
+			handedBack(t, r, ch, 2)
+			if r.arena.backing == nil {
+				slot.CompareAndSwap(b, nil)
+			} else {
+				r.chunks.retire(slot, b)
+			}
+			if err := r.Delete(); err != nil {
+				t.Fatal(err)
+			}
+			if got := a.Counters().ChunksRecycled; got != 0 {
+				t.Fatalf("ChunksRecycled = %d, want 0", got)
+			}
+			if x.region != r || x.Value.val != 42 || ch.next.Load() != 2 || ch.base != 0 {
+				t.Fatalf("the part-used chunk was reset: region=%p val=%d next=%d base=%d",
+					x.region, x.Value.val, ch.next.Load(), ch.base)
+			}
+		})
 	}
 }

@@ -197,10 +197,15 @@ type slabPage struct {
 // release/acquire edge guarantees the closing reclaim cannot miss a
 // tracked page or a listed chunk.
 type chunkLedger struct {
-	mu      sync.Mutex
-	closed  bool
-	pages   []slabPage
-	retired *chunkBox
+	mu     sync.Mutex
+	closed bool
+	// noRecycle turns the dead region's count gate off (reclaimChunks,
+	// region_alloccache.go): set, never cleared, when a claim counted in
+	// objs may sit on a chunk the region does not list. It sits in the
+	// padding after closed, so the ledger stays 48 B.
+	noRecycle atomic.Bool
+	pages     []slabPage
+	retired   *chunkBox
 }
 
 // add tracks a freshly carved page; false means the region is already
@@ -223,6 +228,17 @@ func (l *chunkLedger) add(pg slabPage) bool {
 func (l *chunkLedger) retire(slot *atomic.Pointer[chunkBox], b *chunkBox) {
 	l.mu.Lock()
 	if slot.CompareAndSwap(b, nil) && !l.closed {
+		b.link = l.retired
+		l.retired = b
+	}
+	l.mu.Unlock()
+}
+
+// list lists an exhausted heap chunk that sits in no park slot: a
+// token's sealed chunk, handed back exhausted (Owner.handBack).
+func (l *chunkLedger) list(b *chunkBox) {
+	l.mu.Lock()
+	if !l.closed {
 		b.link = l.retired
 		l.retired = b
 	}

@@ -574,7 +574,7 @@ func TestStaleHandleIntoRecycledChunk(t *testing.T) {
 		a := NewArena(WithOffHeapSlabs())
 		defer a.CloseBackingStore()
 		r := a.NewRegion()
-		ch, stale := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+		ch, stale := fillRecTerms(t, r, nil)
 		if err := r.Delete(); err != nil {
 			t.Fatal(err)
 		}
@@ -601,7 +601,7 @@ func TestStaleHandleIntoRecycledChunk(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		a := NewArena()
 		r := a.NewRegion()
-		_, stale := fillRecTerms(t, r, func() (*Obj[recTerm], error) { return TryAlloc[recTerm](r) })
+		_, stale := fillRecTerms(t, r, nil)
 		if err := r.Delete(); err != nil {
 			t.Fatal(err)
 		}

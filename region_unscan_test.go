@@ -412,6 +412,15 @@ func TestRegionBelowMallocHeader(t *testing.T) {
 	}
 }
 
+// Region fits the 416 B size class: one request region is one
+// allocation, and the next class up is 448 B. acquirePCN fills the hole
+// after state, and the count gate's noRecycle the ledger's padding.
+func TestRegionInSizeClass416(t *testing.T) {
+	if got := unsafe.Sizeof(Region{}); got > 416 {
+		t.Fatalf("Region is %d B, want <= 416", got)
+	}
+}
+
 // A registry entry is the slot's word, one machine word: 1,440 counted
 // slots from one region's objects leave a list of at most 1.3 × 1,440
 // words, growth slack included.
